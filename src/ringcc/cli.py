@@ -7,7 +7,9 @@
 
 Query results print as "<tick> OUT q<id> <result>"; other boundary events as
 "<tick> EVT ...". Exit status 2 means the run died with storage exhausted;
-the failing tick goes to stderr.
+the failing tick goes to stderr. The pipelined engine has no auditor and no
+per-tick metrics, so `--engine pipelined` with `--validate` or `--metrics`
+is refused with exit status 1.
 """
 
 from __future__ import annotations
@@ -68,6 +70,13 @@ def _config_from(args):
 
 
 def cmd_run(args):
+    if args.engine == "pipelined":
+        unsupported = [flag for flag, on in (("--validate", args.validate),
+                                             ("--metrics", args.metrics)) if on]
+        if unsupported:
+            print(f"the pipelined engine does not support {', '.join(unsupported)}",
+                  file=sys.stderr)
+            return 1
     try:
         items = parse_stream_file(args.stream)
     except ParseError as exc:
@@ -93,12 +102,12 @@ def cmd_run(args):
         for line in transcript.lines():
             if " IN " not in line:
                 print(line)
-    if ring is not None and args.metrics:
+    if args.metrics:
         with open(args.metrics, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(METRICS_HEADER)
             writer.writerows(ring.metrics)
-    if ring is not None and args.validate and ring.violations:
+    if args.validate and ring.violations:
         for v in ring.violations[:50]:
             print(f"violation tick={v.tick} {v.kind} p{v.index}: {v.detail}",
                   file=sys.stderr)

@@ -38,7 +38,9 @@ class LabeledEdge:
         self.t = t
 
     def key(self):
-        return canonical_key(self.u, self.v)
+        u = self.u
+        v = self.v
+        return (u, v) if u <= v else (v, u)  # canonical_key, inlined: called per hop
 
     def reset_labels(self):
         """Back to primitive labels, used when an edge is recycled as new."""
@@ -137,8 +139,9 @@ class Bundle:
 
     def occupied(self):
         """Number of occupied slots (primary plus non-empty payload entries)."""
-        n = 0 if self.primary is None else 1
-        return n + sum(1 for it in self.payload if it is not None)
+        payload = self.payload
+        n = len(payload) - payload.count(None)
+        return n if self.primary is None else n + 1
 
     def __repr__(self):
         return f"Bundle({self.primary!r}, {list(self.payload)!r}, bt={self.builder_token})"

@@ -78,11 +78,6 @@ class Packer:
         self.payload = []
         self.builder_token = False
 
-    def reset(self):
-        self.primary = None
-        self.payload = []
-        self.builder_token = False
-
     def set_primary(self, item):
         if self.primary is not None:
             raise SlotOverflow("primary slot already occupied")
@@ -160,7 +155,9 @@ class Processor:
 
     def process_bundle(self, b):
         pk = self._pk
-        pk.reset()
+        pk.primary = None
+        pk.payload = []
+        pk.builder_token = False
         if b.builder_token:
             self.is_builder = True
         prim = b.primary
@@ -447,17 +444,19 @@ class Processor:
             self.nontree.append(e)
         else:
             self.unresolved.append(e)
-        self.dup[e.key()] = e
+        key = e.key()
+        self.dup[key] = e
         self.stored += 1
         self.reservoir.insert(e.u, e.v, e.t)
         if self.hooks is not None:
-            self.hooks.stored(e.key(), self.index)
+            self.hooks.stored(key, self.index)
 
     def _drop(self, e):
-        del self.dup[e.key()]
+        key = e.key()
+        del self.dup[key]
         self.stored -= 1
         if self.hooks is not None:
-            self.hooks.removed(e.key(), self.index)
+            self.hooks.removed(key, self.index)
 
     def _jettison_unresolved(self):
         if not self.unresolved:

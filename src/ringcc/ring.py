@@ -6,6 +6,11 @@ tail (query answers, dump output, completed tokens), merges the remaining
 payload with the new item into the head's next bundle, and keeps the
 transcript. Processors hand bundles strictly one hop per tick, so a constant
 query injected at tick t exits at tick t+p.
+
+A processor whose input is the empty bundle, whose outbound queue is empty,
+which is not aging and holds no auto-age monitor would emit the empty bundle
+and change no state, so the lockstep engine does not call it: per-tick work
+follows the traffic on the ring, not the ring size.
 """
 
 from __future__ import annotations
@@ -402,8 +407,9 @@ class IOJunction:
 
 
 class Ring:
-    """Lockstep engine: every processor advances once per tick, and bundles
-    move exactly one hop per tick."""
+    """Lockstep engine: bundles move exactly one hop per tick. Every
+    processor advances once per tick, but only those with a non-empty input
+    or work of their own are called; for the rest the call is a no-op."""
 
     def __init__(self, config):
         self.config = config
@@ -415,6 +421,9 @@ class Ring:
         self.processors = [Processor(i, config, self.hooks) for i in range(config.p)]
         self.links = [EMPTY_BUNDLE] * config.p  # links[i]: pending input of p_i (i >= 1)
         self.junction_return = EMPTY_BUNDLE
+        # processors to call next tick, ascending; a call to any other would
+        # be a no-op. The first tick calls all, which is always safe.
+        self._active = list(range(config.p))
         self.failed = False
         self.aging_ticks = 0
         self.suspended_ticks = 0  # aging plus the post-deletion settle window
@@ -433,27 +442,59 @@ class Ring:
     def tick(self, item=None):
         if self.failed:
             raise SystemFailed(self.t, "system already failed")
+        junction = self.junction
         try:
-            head_in = self.junction.step(self.t, self.junction_return, item)
+            head_in = junction.step(self.t, self.junction_return, item)
         except SystemFailed:
             self.failed = True
             raise
+        self.junction_return = EMPTY_BUNDLE
+        active = self._active
+        if head_in is not EMPTY_BUNDLE and (not active or active[0]):
+            active.insert(0, 0)
         procs = self.processors
-        p = self.config.p
-        outs = [procs[0].process_bundle(head_in)]
-        for i in range(1, p):
-            outs.append(procs[i].process_bundle(self.links[i]))
-        for i in range(1, p):
-            self.links[i] = outs[i - 1]
-        self.junction_return = outs[p - 1]
-        if self.junction.mode == "aging":
+        links = self.links
+        last = self.config.p - 1
+        ran = [] if self.tap_edges is not None or self.hooks is not None else None
+        nxt = []
+        held = None  # output of the previous processor, written to its
+        held_at = 0  # successor's link once that one has read its input
+        for i in active:
+            if i:
+                b = links[i]
+                links[i] = EMPTY_BUNDLE
+            else:
+                b = head_in
+            if held is not None:
+                links[held_at] = held
+                held = None
+            proc = procs[i]
+            out = proc.process_bundle(b)
+            if ran is not None:
+                ran.append((i, out))
+            if proc.outq or proc.aging or proc.monitor is not None:
+                if not nxt or nxt[-1] != i:
+                    nxt.append(i)
+            if out is not EMPTY_BUNDLE:
+                if i == last:
+                    self.junction_return = out
+                else:
+                    held = out
+                    held_at = i + 1
+                    nxt.append(held_at)
+        if held is not None:
+            links[held_at] = held
+        self._active = nxt
+        if junction.mode == "aging":
             self.aging_ticks += 1
-        if self.junction._queries_suspended(self.t):
             self.suspended_ticks += 1
-        if self.tap_edges is not None:
-            self._record_taps(outs)
-        if self.hooks is not None:
-            self._audit_tick(outs)
+        elif self.t < junction.age_hold_until:
+            self.suspended_ticks += 1
+        if ran is not None:
+            if self.tap_edges is not None:
+                self._record_taps(ran)
+            if self.hooks is not None:
+                self._audit_tick(ran)
         if self.metrics is not None:
             self.metrics.append(self.metrics_row())
         self.t += 1
@@ -564,9 +605,9 @@ class Ring:
 
     # -- instrumentation ---------------------------------------------------------
 
-    def _record_taps(self, outs):
+    def _record_taps(self, ran):
         aging = self.junction.mode == "aging"
-        for i, out in enumerate(outs):
+        for i, out in ran:
             slots = [out.primary]
             slots.extend(out.payload)
             edges = self.tap_edges[i]
@@ -579,11 +620,13 @@ class Ring:
                 elif t is DumpPair:
                     dumps.append((it.block, it.name))
 
-    def _audit_tick(self, outs):
-        for i, out in enumerate(outs):
-            if out.occupied() > self.config.k:
+    def _audit_tick(self, ran):
+        k = self.config.k
+        for i, out in ran:
+            n = out.occupied()
+            if n > k:
                 self.violations.append(Violation(
-                    self.t, "slot-overflow", i, f"{out.occupied()} occupied slots"))
+                    self.t, "slot-overflow", i, f"{n} occupied slots"))
         self.violations.extend(self.audit_invariants())
 
     def audit_invariants(self):

@@ -76,3 +76,14 @@ def test_pipelined_engine_flag(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "OUT q0 true" in out
+
+
+def test_pipelined_engine_refuses_lockstep_only_flags(tmp_path, capsys):
+    stream = write(tmp_path, "s.txt", "E 1 2\nQ 1 2\n" + ".\n" * 4)
+    metrics = tmp_path / "m.csv"
+    rc = main(["run", stream, "-p", "3", "-s", "5", "-k", "3",
+               "--engine", "pipelined", "--validate", "--metrics", str(metrics)])
+    err = capsys.readouterr().err
+    assert rc != 0
+    assert "--validate" in err and "--metrics" in err
+    assert not metrics.exists()

@@ -1,0 +1,101 @@
+"""The lockstep engine calls only processors that have something to do.
+
+A processor whose input link is empty, whose outbound queue is empty, which
+is not aging and holds no auto-age monitor would emit an empty bundle and
+change nothing, so `Ring.tick` skips it. The threaded engine still calls
+every processor every tick, which makes it the reference: on any stream the
+two transcripts must be byte-identical.
+"""
+
+import random
+
+import pytest
+
+from ringcc.aging import TimestampThreshold
+from ringcc.model import (
+    IDLE,
+    Age,
+    Arrival,
+    AutoAge,
+    Connectivity,
+    DumpLabels,
+    EdgeCount,
+    MaxComponent,
+    SmallComponents,
+    SpanningTree,
+)
+from ringcc.pipeline import run_pipelined
+from ringcc.processor import Processor
+from ringcc.ring import Ring, RingConfig
+
+
+def mixed_items(rng, n, nverts):
+    """n draws of arrivals, every query kind, deletions and long idle runs,
+    with automatic aging armed a third of the way in."""
+    items = []
+    for draw in range(n):
+        if draw == n // 3:
+            items.append(AutoAge(0.5))
+        r = rng.random()
+        tick = len(items)
+        if r < 0.70:
+            items.append(Arrival(rng.randrange(nverts), rng.randrange(nverts)))
+        elif r < 0.80:
+            items.append(Connectivity(rng.randrange(nverts), rng.randrange(nverts)))
+        elif r < 0.83:
+            items.append(EdgeCount())
+        elif r < 0.86:
+            items.append(rng.choice([DumpLabels(), SpanningTree(), MaxComponent(),
+                                     SmallComponents(rng.randrange(1, 4))]))
+        elif r < 0.87:
+            items.append(Age(TimestampThreshold(rng.randrange(tick // 2, tick + 1))))
+        else:
+            items.extend([IDLE] * rng.randrange(1, 40))
+    return items
+
+
+def drain_padding(p, s, k):
+    return [IDLE] * (6 * p + 2 * p * s // (k - 1) + 16)
+
+
+@pytest.mark.parametrize("p", [1, 2, 5, 10])
+def test_lockstep_matches_threaded_reference(p):
+    auto_deletions = 0
+    for trial in range(4):
+        rng = random.Random(1000 * p + trial)
+        s = max(12, 100 // p)
+        k = rng.choice([3, 4, 5])
+        items = mixed_items(rng, 400, 60) + drain_padding(p, s, k)
+        # two search circuits keep the policy's lead time short enough for
+        # a ring this small
+        cfg = dict(p=p, s=s, k=k, seed=trial, search_circuits=2)
+        lock = Ring(RingConfig(validate=True, **cfg))
+        lock.run_stream(items, drain=False)
+        assert lock.violations == [], f"p={p} trial {trial}"
+        piped = run_pipelined(RingConfig(**cfg), items)
+        assert piped.text() == lock.transcript.text(), f"p={p} trial {trial}"
+        auto_deletions += lock.transcript.text().count("auto-age requested")
+    assert auto_deletions > 0
+
+
+def test_idle_processors_are_not_called(monkeypatch):
+    calls = 0
+    process_bundle = Processor.process_bundle
+
+    def counted(proc, b):
+        nonlocal calls
+        calls += 1
+        return process_bundle(proc, b)
+
+    monkeypatch.setattr(Processor, "process_bundle", counted)
+    p = 10
+    items = []
+    for i in range(20):
+        items.append(Arrival(i, i + 1))
+        items.append(Connectivity(0, i))
+        items.extend([IDLE] * 30)
+    ring = Ring(RingConfig(p=p, s=50, k=3, validate=True))
+    ring.run_stream(items)
+    assert ring.violations == []
+    assert [e[4] for e in ring.transcript.outputs("answer")] == [True] * 20
+    assert 0 < calls < p * ring.t
