@@ -9,7 +9,8 @@ Query results print as "<tick> OUT q<id> <result>"; other boundary events as
 "<tick> EVT ...". Exit status 2 means the run died with storage exhausted;
 the failing tick goes to stderr. The pipelined engine has no auditor and no
 per-tick metrics, so `--engine pipelined` with `--validate` or `--metrics`
-is refused with exit status 1.
+is refused with exit status 1. Likewise `experiment` refuses, with exit
+status 1, a flag its harness has no use for.
 """
 
 from __future__ import annotations
@@ -148,24 +149,48 @@ def cmd_reference(args):
     return 0
 
 
+# flags a harness has no use for; giving one is refused rather than ignored
+UNUSED_BY_EXPERIMENT = {
+    1: ("--survivor", "--downtime", "--validate"),
+    2: ("--kind", "--count"),
+    3: ("--kind", "--downtime"),
+}
+
+
 def cmd_experiment(args):
-    if args.which == 1:
-        report = run_experiment_1(kind=args.kind, n=args.count,
+    which = args.which
+    refused = [flag for flag in UNUSED_BY_EXPERIMENT[which]
+               if getattr(args, flag[2:]) not in (None, False)]
+    if which == 3 and args.survivor is not None and len(args.survivor) > 1:
+        refused.append("--survivor with more than one value")
+    if refused:
+        print(f"experiment {which} does not use {', '.join(refused)}", file=sys.stderr)
+        return 1
+    n = 100_000 if args.count is None else args.count
+    k = 5 if args.bundle is None else args.bundle
+    survivor = args.survivor or [0.5]
+    u = args.u
+    if which == 1:
+        report = run_experiment_1(kind=args.kind or "uniform", n=n,
                                   p=args.processors, s=args.capacity,
-                                  k=args.bundle, seed=args.seed)
-    elif args.which == 2:
+                                  k=k, seed=args.seed,
+                                  u_target=0.67 if u is None else u)
+    elif which == 2:
         report = {"cells": []}
-        for c in args.survivor:
-            for d in args.downtime:
-                cell = run_experiment_2(c=c, downtime_budget=d, u=args.u,
+        for c in survivor:
+            for d in args.downtime or [0.5]:
+                cell = run_experiment_2(c=c, downtime_budget=d,
+                                        u=1.0 if u is None else u,
                                         p=args.processors, s=args.capacity,
-                                        seed=args.seed, validate=args.validate)
+                                        k=args.bundle, seed=args.seed,
+                                        validate=args.validate)
                 report["cells"].append(cell)
     else:
-        report = run_experiment_3(n=args.count, target_c=args.survivor[0],
+        report = run_experiment_3(n=n, target_c=survivor[0],
                                   p=args.processors, s=args.capacity,
-                                  k=args.bundle, seed=args.seed,
-                                  validate=args.validate)
+                                  k=k, seed=args.seed,
+                                  validate=args.validate,
+                                  u_target=1.0 if u is None else u)
     json.dump(report, sys.stdout, indent=2, default=str)
     print()
     return 0
@@ -203,18 +228,25 @@ def build_parser():
     exp_p = subs.add_parser("experiment", help="run an experiment harness")
     exp_p.add_argument("which", type=int, choices=(1, 2, 3))
     exp_p.add_argument("--kind", choices=("uniform", "repeat", "rmat"),
-                       default="uniform")
-    exp_p.add_argument("--count", "-n", type=int, default=100_000)
+                       help="stream kind for experiment 1 (default uniform)")
+    exp_p.add_argument("--count", "-n", type=int,
+                       help="stream length for experiments 1 and 3 (default 100000)")
     exp_p.add_argument("--processors", "-p", type=int, default=10)
     exp_p.add_argument("--capacity", "-s", type=int, default=2000)
-    exp_p.add_argument("--bundle", "-k", type=int, default=5)
-    exp_p.add_argument("--survivor", type=float, nargs="+", default=[0.5],
-                       help="survivor fraction(s) c")
-    exp_p.add_argument("--downtime", type=float, nargs="+", default=[0.5],
-                       help="downtime budget(s) for experiment 2")
-    exp_p.add_argument("--u", type=float, default=1.0)
+    exp_p.add_argument("--bundle", "-k", type=int,
+                       help="slots per bundle (default 5; experiment 2 derives "
+                            "it from the sizing bound)")
+    exp_p.add_argument("--survivor", type=float, nargs="+",
+                       help="survivor fraction(s) c (default 0.5; one value "
+                            "for experiment 3)")
+    exp_p.add_argument("--downtime", type=float, nargs="+",
+                       help="downtime budget(s) for experiment 2 (default 0.5)")
+    exp_p.add_argument("--u", type=float,
+                       help="unique fraction of the stream (default 0.67 for "
+                            "experiment 1, 1.0 otherwise)")
     exp_p.add_argument("--seed", type=int, default=0)
-    exp_p.add_argument("--validate", action="store_true")
+    exp_p.add_argument("--validate", action="store_true",
+                       help="audit invariants (experiments 2 and 3)")
     exp_p.set_defaults(fn=cmd_experiment)
     return parser
 

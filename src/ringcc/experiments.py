@@ -145,6 +145,7 @@ def run_experiment_3(n=300_000, target_c=0.5, p=10, s=2400, k=5, seed=0,
     return {
         "edges": n,
         "target_c": target_c,
+        "u": u_target,
         "S": S,
         "k": k,
         "events": events,

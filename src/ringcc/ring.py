@@ -7,6 +7,16 @@ payload with the new item into the head's next bundle, and keeps the
 transcript. Processors hand bundles strictly one hop per tick, so a constant
 query injected at tick t exits at tick t+p.
 
+Items that cannot enter on their tick wait in the junction's queue, in
+order; so does every deletion the automatic policy requests. A deletion that
+starts from the queue does not take the tick's input: when two payload slots
+are free, the start tick carries the `AGE` and the next queued item, whose
+`IN` record follows the `AGE` record. An arrival rides in a payload slot and is
+classified under the new regime; a query is answered busy and an `AGE` is
+ignored, as during any deletion. An `AUTOAGE` needs the primary slot and
+keeps waiting. The queue's depth is reported as an event whenever it
+changes.
+
 A processor whose input is the empty bundle, whose outbound queue is empty,
 which is not aging and holds no auto-age monitor would emit the empty bundle
 and change no state, so the lockstep engine does not call it: per-tick work
@@ -214,6 +224,7 @@ class IOJunction:
         # a new deletion must wait for the previous one's trailing recycled
         # edges to finish wrapping, or they would slip behind the new token
         self.age_hold_until = 0
+        self.backlog = 0  # depth of `pending` last reported as an event
 
     # -- outgoing side -------------------------------------------------------
 
@@ -221,8 +232,12 @@ class IOJunction:
         reenter = []
         reinject = []
         primary_override = self._extract(tick, ret, reenter, reinject)
-        primary = self._inject(tick, item, primary_override)
         payload = reenter + reinject
+        # an AGE may have to wait for the previous deletion's edges to settle
+        if self.pending or primary_override is not None or type(item) is Age:
+            primary = self._inject(tick, item, primary_override, payload)
+        else:
+            primary = self._admit(tick, item)
         if len(payload) > self.config.k - 1:
             raise SystemFailed(tick, "returning payload exceeds bundle capacity")
         if primary is None and not payload:
@@ -315,24 +330,50 @@ class IOJunction:
 
     # -- incoming side -------------------------------------------------------
 
-    def _inject(self, tick, item, primary_override):
-        ts = self.transcript
+    def _inject(self, tick, item, primary_override, payload):
+        """The tick's item joins the queue; the head gets the returning edge
+        or the queue's next item."""
+        pending = self.pending
+        if item is not None and type(item) is not Idle:
+            pending.append(item)
         if primary_override is not None:
-            if item is not None and type(item) is not Idle:
-                self.pending.append(item)
             if self.config.record_inputs:
-                ts.record_in(tick, "(deferred)")
-            return primary_override
-        if self.pending:
-            if item is not None and type(item) is not Idle:
-                self.pending.append(item)
-                ts.record_evt(tick, "input deferred behind pending commands")
-            item = self.pending.popleft()
-        if type(item) is Age and self.mode != "aging" and tick < self.age_hold_until:
-            # recycled edges from the previous deletion may still be wrapping;
-            # hold the command at the front of the queue and idle this tick
-            self.pending.appendleft(item)
-            item = None
+                self.transcript.record_in(tick, "(deferred)")
+            primary = primary_override
+        else:
+            primary = self._admit(tick, self._next_item(tick))
+            if (type(primary) is AgingToken and pending
+                    and type(pending[0]) is not AutoAge
+                    and len(payload) + 2 <= self.config.k - 1):
+                # the deletion start did not take an input tick, so the next
+                # item rides along and is classified under the new regime.
+                # Two free slots: at a full head, storing it can evict an
+                # untested survivor and the head's last test can spill another.
+                rider = self._admit(tick, pending.popleft())
+                if rider is not None:
+                    payload.append(rider)
+        if len(pending) != self.backlog:
+            self.backlog = len(pending)
+            self.transcript.record_evt(tick, f"input backlog {self.backlog}")
+        return primary
+
+    def _next_item(self, tick):
+        """Pop the item the head takes from the (non-empty) queue, or None."""
+        pending = self.pending
+        if type(pending[0]) is Age and self.mode != "aging" and tick < self.age_hold_until:
+            # recycled edges from the previous deletion may still be wrapping:
+            # the command keeps its place while what queued behind it goes in
+            if len(pending) > 1 and type(pending[1]) is not Age:
+                item = pending[1]
+                del pending[1]
+                return item
+            return None
+        return pending.popleft()
+
+    def _admit(self, tick, item):
+        """One stream item's effect at the head: the primary slot it fills,
+        or None once it is answered or dropped here."""
+        ts = self.transcript
         if item is None or type(item) is Idle:
             if self.config.record_inputs:
                 ts.record_in(tick, ".")

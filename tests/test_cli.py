@@ -1,4 +1,7 @@
 import csv
+import json
+
+import pytest
 
 from ringcc.cli import main
 
@@ -87,3 +90,30 @@ def test_pipelined_engine_refuses_lockstep_only_flags(tmp_path, capsys):
     assert rc != 0
     assert "--validate" in err and "--metrics" in err
     assert not metrics.exists()
+
+
+def test_experiment_2_uses_the_given_bundle_size(capsys):
+    rc = main(["experiment", "2", "-p", "3", "-s", "100", "-k", "3"])
+    report = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert [cell["k"] for cell in report["cells"]] == [3]
+
+
+def test_experiment_3_uses_the_given_unique_fraction(capsys):
+    rc = main(["experiment", "3", "-n", "2000", "-p", "2", "-s", "300", "--u", "0.5"])
+    report = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert report["u"] == 0.5
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["1", "--validate"], "--validate"),
+    (["1", "--downtime", "0.3"], "--downtime"),
+    (["3", "--downtime", "0.3"], "--downtime"),
+    (["3", "--survivor", "0.5", "0.6"], "--survivor"),
+])
+def test_experiment_refuses_flags_it_would_ignore(argv, flag, capsys):
+    rc = main(["experiment"] + argv + ["-n", "100"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert flag in err
