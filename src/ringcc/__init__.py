@@ -22,7 +22,7 @@ from .model import (
     canonical_key,
 )
 from .multipass import multipass_labels, partition, run_multipass, static_cc
-from .pipeline import run_pipelined
+from .pipeline import ThreadedRing, run_pipelined
 from .ring import Ring, RingConfig, SystemFailed, Transcript
 from .unionfind import CapacityExhausted, LocalComponents, min_naming
 
@@ -31,7 +31,7 @@ __all__ = [
     "CustomPredicate", "DumpLabels", "EdgeCount", "IDLE", "LabeledEdge",
     "LocalComponents", "MaxComponent", "ReservoirSample", "Ring",
     "RingConfig", "SmallComponents", "SpanningTree", "SystemFailed",
-    "TimestampThreshold", "Transcript", "canonical_key",
+    "ThreadedRing", "TimestampThreshold", "Transcript", "canonical_key",
     "min_bandwidth_expansion", "min_naming", "multipass_labels", "partition",
     "required_free_space", "run_multipass", "run_pipelined", "static_cc",
 ]

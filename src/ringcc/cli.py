@@ -7,10 +7,11 @@
 
 Query results print as "<tick> OUT q<id> <result>"; other boundary events as
 "<tick> EVT ...". Exit status 2 means the run died with storage exhausted;
-the failing tick goes to stderr. The pipelined engine has no auditor and no
-per-tick metrics, so `--engine pipelined` with `--validate` or `--metrics`
-is refused with exit status 1. Likewise `experiment` refuses, with exit
-status 1, a flag its harness has no use for.
+the failing tick goes to stderr. `--engine pipelined` (one thread per
+processor) drains and writes `--metrics` like the lockstep engine but refuses
+`--validate` with exit status 1: concurrent processors cannot run the auditor.
+Likewise `experiment` refuses, with exit status 1, a flag its harness has no
+use for.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import sys
 from .experiments import run_experiment_1, run_experiment_2, run_experiment_3
 from .model import Arrival
 from .multipass import multipass_labels
-from .pipeline import run_pipelined
+from .pipeline import ThreadedRing
 from .ring import Ring, RingConfig, SystemFailed
 from .streams import (
     ParseError,
@@ -71,36 +72,22 @@ def _config_from(args):
 
 
 def cmd_run(args):
-    if args.engine == "pipelined":
-        unsupported = [flag for flag, on in (("--validate", args.validate),
-                                             ("--metrics", args.metrics)) if on]
-        if unsupported:
-            print(f"the pipelined engine does not support {', '.join(unsupported)}",
-                  file=sys.stderr)
-            return 1
+    if args.engine == "pipelined" and args.validate:
+        print("the pipelined engine does not support --validate", file=sys.stderr)
+        return 1
     try:
         items = parse_stream_file(args.stream)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1
-    config = _config_from(args)
+    ring = (ThreadedRing if args.engine == "pipelined" else Ring)(_config_from(args))
     failure = None
-    ring = None
-    if args.engine == "pipelined":
-        try:
-            transcript = run_pipelined(config, items)
-        except SystemFailed as exc:
-            failure = exc
-            transcript = None
-    else:
-        ring = Ring(config)
-        try:
-            ring.run_stream(items)
-        except SystemFailed as exc:
-            failure = exc
-        transcript = ring.transcript
-    if transcript is not None and not args.quiet:
-        for line in transcript.lines():
+    try:
+        ring.run_stream(items)
+    except SystemFailed as exc:
+        failure = exc
+    if not args.quiet:
+        for line in ring.transcript.lines():
             if " IN " not in line:
                 print(line)
     if args.metrics:

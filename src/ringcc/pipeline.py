@@ -1,12 +1,11 @@
-"""Pipelined engine: one thread per processor, depth-limited handoff queues.
+"""Threaded engine: the lockstep ring with one worker thread per processor.
 
-Every processor sees exactly the same sequence of input bundles as under the
-lockstep engine, so for any item sequence the transcript is byte-identical;
-only wall-clock concurrency differs. The I/O side stays on the caller's
-thread and owns the tick counter.
-
-No implicit drain happens here: callers append explicit idle items so the
-same sequence can be replayed on both engines.
+`ThreadedRing` replaces only the scheduling of a tick's `process_bundle`
+calls. It calls every processor every tick, idle or not, so it is the dense
+reference for the lockstep engine's idle skip: the transcripts are
+byte-identical. It refuses `validate=True`: the auditor's per-key copy counts
+are updated inside `process_bundle`, where concurrent workers would update
+them in an order that changes from run to run.
 """
 
 from __future__ import annotations
@@ -14,52 +13,67 @@ from __future__ import annotations
 import queue
 import threading
 
-from .model import EMPTY_BUNDLE
-from .processor import Processor
-from .ring import IOJunction, SystemFailed, Transcript
+from .ring import Ring
 
 _STOP = object()
 
 
-def _worker(proc, q_in, q_out):
-    while True:
-        b = q_in.get()
-        if b is _STOP:
-            q_out.put(_STOP)
-            return
-        q_out.put(proc.process_bundle(b))
+def _worker(proc, inbox, outbox):
+    for b in iter(inbox.get, _STOP):
+        try:
+            outbox.put(proc.process_bundle(b))
+        except Exception as exc:  # re-raised on the caller's thread
+            outbox.put(exc)
+
+
+class ThreadedRing(Ring):
+    """Workers start with the first tick and stop when `run_stream` returns
+    or raises; a caller driving `tick` directly calls `close`."""
+
+    def __init__(self, config):
+        if config.validate:
+            raise ValueError("validate=True is not supported by the threaded engine")
+        super().__init__(config)
+        self._queues = None  # (inbox, outbox) of each processor's worker
+
+    def _start(self):
+        self._queues = [(queue.SimpleQueue(), queue.SimpleQueue()) for _ in self.processors]
+        self._threads = [threading.Thread(target=_worker, args=(proc, *q), daemon=True)
+                         for proc, q in zip(self.processors, self._queues)]
+        for th in self._threads:
+            th.start()
+        return self._queues
+
+    def close(self):
+        """Stop the worker threads; a later tick starts new ones."""
+        if self._queues is not None:
+            for inbox, _ in self._queues:
+                inbox.put(_STOP)
+            for th in self._threads:
+                th.join()
+            self._queues = None
+
+    def run_stream(self, items, drain=True):
+        try:
+            return super().run_stream(items, drain)
+        finally:
+            self.close()
+
+    def _advance(self, head_in):
+        queues = self._queues or self._start()
+        links = self.links
+        for (inbox, _), b in zip(queues, [head_in] + links[1:]):
+            inbox.put(b)
+        outs = [outbox.get() for _, outbox in queues]
+        for out in outs:
+            if isinstance(out, Exception):
+                raise out
+        links[1:] = outs[:-1]
+        self.junction_return = outs[-1]
+        return list(enumerate(outs))
 
 
 def run_pipelined(config, items):
-    """Run the item sequence on the threaded engine; returns the transcript."""
-    transcript = Transcript()
-    junction = IOJunction(config, transcript)
-    procs = [Processor(i, config) for i in range(config.p)]
-    # queues[i] feeds processor i; queues[p] is the tail-to-junction return
-    queues = [queue.Queue(maxsize=2) for _ in range(config.p + 1)]
-    threads = [threading.Thread(target=_worker, args=(procs[i], queues[i], queues[i + 1]),
-                                daemon=True)
-               for i in range(config.p)]
-    for th in threads:
-        th.start()
-    for i in range(1, config.p + 1):
-        queues[i].put(EMPTY_BUNDLE)  # primes the one-tick hop delay on every link
-
-    tick = 0
-    failure = None
-    try:
-        for item in items:
-            ret = queues[config.p].get()
-            head_in = junction.step(tick, ret, item)
-            queues[0].put(head_in)
-            tick += 1
-    except SystemFailed as exc:
-        failure = exc
-    queues[0].put(_STOP)
-    while queues[config.p].get() is not _STOP:
-        pass
-    for th in threads:
-        th.join(timeout=5)
-    if failure is not None:
-        raise failure
-    return transcript
+    """Run the item sequence on the threaded engine without a final drain;
+    returns the transcript."""
+    return ThreadedRing(config).run_stream(items, drain=False)

@@ -121,7 +121,7 @@ class Processor:
         self.is_tail = index == config.p - 1
         self.hooks = hooks
 
-        self.lc = LocalComponents(config.s, config.naming)
+        self.lc = LocalComponents(config.s)
         self.tree = []
         self.nontree = []
         self.untested = deque()

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from .aging import StatsProbe, SurvivorProbe, TimestampThreshold
 from .model import (
@@ -68,7 +68,6 @@ from .queries import (
     TreeEdgeMsg,
     VertexMsg,
 )
-from .unionfind import min_naming
 
 
 class SystemFailed(Exception):
@@ -93,7 +92,6 @@ class RingConfig:
     p: int
     s: int
     k: int = 5
-    naming: Callable = min_naming
     validate: bool = False
     seed: int = 0
     reservoir: int = 100
@@ -212,10 +210,10 @@ class RingHooks:
 class IOJunction:
     """The I/O processor: feeds the head, extracts what the tail returns."""
 
-    def __init__(self, config, transcript, ring=None):
-        self.config = config
-        self.transcript = transcript
+    def __init__(self, ring):
         self.ring = ring
+        self.config = ring.config
+        self.transcript = ring.transcript
         self.mode = "normal"
         self.pending = deque()
         self.next_qid = 0
@@ -285,8 +283,7 @@ class IOJunction:
                 self.mode = "normal"
                 self.age_hold_until = tick + self.config.p + 1
                 ts.record_evt(tick, "aging complete; queries re-enabled")
-                if self.ring is not None:
-                    self.ring._aging_complete(tick)
+                self.ring._aging_complete(tick)
             elif t is DumpPair:
                 if self.active is not None:
                     ts.record_out(tick, self.active.qid, "dump", item.block, item.name)
@@ -383,26 +380,18 @@ class IOJunction:
         t = type(item)
         if t is Arrival:
             return LabeledEdge(item.u, item.v, t=tick)
-        if t is Connectivity:
+        if t in (Connectivity, EdgeCount, MaxComponent, SmallComponents,
+                 SpanningTree, DumpLabels):
             qid = self._qid()
-            if self._queries_suspended(tick):
+            # at most one non-constant query is active at a time
+            if self._queries_suspended(tick) or (
+                    self.active is not None and t not in (Connectivity, EdgeCount)):
                 ts.record_out(tick, qid, "busy")
                 return None
-            return ConnQuery(qid, item.u, item.v, tick)
-        if t is EdgeCount:
-            qid = self._qid()
-            if self._queries_suspended(tick):
-                ts.record_out(tick, qid, "busy")
-                return None
-            return CountQuery(qid, tick)
-        if t in (MaxComponent, SmallComponents, SpanningTree, DumpLabels):
-            qid = self._qid()
-            if self._queries_suspended(tick):
-                ts.record_out(tick, qid, "busy")
-                return None
-            if self.active is not None:
-                ts.record_out(tick, qid, "busy")
-                return None
+            if t is Connectivity:
+                return ConnQuery(qid, item.u, item.v, tick)
+            if t is EdgeCount:
+                return CountQuery(qid, tick)
             if t is MaxComponent:
                 self.active = ActiveQuery(qid, "max", tick)
                 return MaxCommand(qid)
@@ -424,8 +413,7 @@ class IOJunction:
             self.mode = "aging"
             self.ring_sealed = False  # deletion restarts building at the head
             ts.record_evt(tick, "aging started")
-            if self.ring is not None:
-                self.ring._aging_started(tick)
+            self.ring._aging_started(tick)
             return AgingToken(item.predicate)
         if t is AutoAge:
             return ArmAutoAge(item.target_c)
@@ -450,14 +438,15 @@ class IOJunction:
 class Ring:
     """Lockstep engine: bundles move exactly one hop per tick. Every
     processor advances once per tick, but only those with a non-empty input
-    or work of their own are called; for the rest the call is a no-op."""
+    or work of their own are called; for the rest the call is a no-op.
+    `_advance` alone schedules those calls; `ThreadedRing` replaces it."""
 
     def __init__(self, config):
         self.config = config
         self.t = 0
         self.transcript = Transcript()
         self.violations = []
-        self.junction = IOJunction(config, self.transcript, ring=self)
+        self.junction = IOJunction(self)
         self.hooks = RingHooks(self) if config.validate else None
         self.processors = [Processor(i, config, self.hooks) for i in range(config.p)]
         self.links = [EMPTY_BUNDLE] * config.p  # links[i]: pending input of p_i (i >= 1)
@@ -490,6 +479,24 @@ class Ring:
             self.failed = True
             raise
         self.junction_return = EMPTY_BUNDLE
+        ran = self._advance(head_in)
+        if junction.mode == "aging":
+            self.aging_ticks += 1
+            self.suspended_ticks += 1
+        elif self.t < junction.age_hold_until:
+            self.suspended_ticks += 1
+        if ran is not None:
+            if self.tap_edges is not None:
+                self._record_taps(ran)
+            if self.hooks is not None:
+                self._audit_tick(ran)
+        if self.metrics is not None:
+            self.metrics.append(self.metrics_row())
+        self.t += 1
+
+    def _advance(self, head_in):
+        """One hop for every processor; returns the (index, output) pairs
+        of those called, or None when neither taps nor the auditor read them."""
         active = self._active
         if head_in is not EMPTY_BUNDLE and (not active or active[0]):
             active.insert(0, 0)
@@ -526,19 +533,7 @@ class Ring:
         if held is not None:
             links[held_at] = held
         self._active = nxt
-        if junction.mode == "aging":
-            self.aging_ticks += 1
-            self.suspended_ticks += 1
-        elif self.t < junction.age_hold_until:
-            self.suspended_ticks += 1
-        if ran is not None:
-            if self.tap_edges is not None:
-                self._record_taps(ran)
-            if self.hooks is not None:
-                self._audit_tick(ran)
-        if self.metrics is not None:
-            self.metrics.append(self.metrics_row())
-        self.t += 1
+        return ran
 
     def run_stream(self, items, drain=True):
         for item in items:

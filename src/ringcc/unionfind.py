@@ -37,11 +37,15 @@ class LocalComponents:
 
     # -- queries ------------------------------------------------------------
 
-    def find(self, b):
-        """Representative of b's set, or b itself if never consumed here."""
+    def relabel(self, b):
+        """The local component enclosing b if this structure consumed b,
+        else b unchanged: the per-processor relabeling step, and the find of
+        a union-find whose unknown blocks are singletons."""
         if b not in self.parent:
             return b
         return self._chase(b)
+
+    find = relabel
 
     def _chase(self, b):
         parent = self.parent
@@ -52,14 +56,6 @@ class LocalComponents:
         while parent[b] != root:
             parent[b], b = root, parent[b]
         return root
-
-    def relabel(self, b):
-        """The local component enclosing b if this structure consumed b,
-        else b unchanged. This is the per-processor relabeling step; it
-        coincides with find() because unknown blocks pass through untouched."""
-        if b not in self.parent:
-            return b
-        return self._chase(b)
 
     def consumed(self, b):
         return b in self.parent

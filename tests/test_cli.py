@@ -83,13 +83,27 @@ def test_pipelined_engine_flag(tmp_path, capsys):
 
 def test_pipelined_engine_refuses_lockstep_only_flags(tmp_path, capsys):
     stream = write(tmp_path, "s.txt", "E 1 2\nQ 1 2\n" + ".\n" * 4)
-    metrics = tmp_path / "m.csv"
     rc = main(["run", stream, "-p", "3", "-s", "5", "-k", "3",
-               "--engine", "pipelined", "--validate", "--metrics", str(metrics)])
+               "--engine", "pipelined", "--validate"])
     err = capsys.readouterr().err
     assert rc != 0
-    assert "--validate" in err and "--metrics" in err
-    assert not metrics.exists()
+    assert "--validate" in err
+
+
+def test_pipelined_metrics_match_lockstep(tmp_path, capsys):
+    lines = [f"E {i % 11} {(3 * i + 1) % 17}" for i in range(60)]
+    lines[20:20] = ["Q 1 4", "COUNT"]
+    lines[45:45] = ["AGE 30", "Q 2 5"]
+    stream = write(tmp_path, "s.txt", "\n".join(lines) + "\nQ 0 3\n")
+    outputs = {}
+    for engine in ("lockstep", "pipelined"):
+        metrics = tmp_path / f"{engine}.csv"
+        rc = main(["run", stream, "-p", "3", "-s", "25", "-k", "3",
+                   "--engine", engine, "--metrics", str(metrics)])
+        assert rc == 0
+        outputs[engine] = (capsys.readouterr().out, metrics.read_bytes())
+    assert "aging complete" in outputs["lockstep"][0]
+    assert outputs["pipelined"] == outputs["lockstep"]
 
 
 def test_experiment_2_uses_the_given_bundle_size(capsys):

@@ -1,8 +1,12 @@
 import random
+import threading
+
+import pytest
 
 from ringcc.model import Age, Arrival, Connectivity, DumpLabels, EdgeCount, IDLE
 from ringcc.aging import TimestampThreshold
-from ringcc.pipeline import run_pipelined
+from ringcc.pipeline import ThreadedRing, run_pipelined
+from ringcc.processor import Processor
 from ringcc.ring import Ring, RingConfig
 
 
@@ -46,3 +50,53 @@ def test_pipelined_with_dump_query():
     lock.run_stream(items, drain=False)
     piped = run_pipelined(cfg, items)
     assert piped.text() == lock.transcript.text()
+
+
+def test_threaded_ring_taps_and_metrics_match_lockstep():
+    rng = random.Random(31)
+    items = random_items(rng, 300, 40) + [IDLE] * 40 + [DumpLabels()]
+    rings = []
+    for engine in (Ring, ThreadedRing):
+        ring = engine(RingConfig(p=4, s=30, k=3, seed=5, taps=True, metrics=True))
+        ring.run_stream(items)
+        rings.append(ring)
+    lock, threaded = rings
+    assert lock.aging_log and any(lock.tap_edges) and any(lock.tap_dump)
+    assert threaded.transcript.text() == lock.transcript.text()
+    for attr in ("tap_edges", "tap_dump", "metrics", "aging_log", "suspended_ticks"):
+        assert getattr(threaded, attr) == getattr(lock, attr), attr
+
+
+def test_threaded_ring_refuses_validation():
+    with pytest.raises(ValueError):
+        ThreadedRing(RingConfig(p=2, s=10, validate=True))
+
+
+def test_worker_exception_reaches_the_caller(monkeypatch):
+    process_bundle = Processor.process_bundle
+    calls = 0
+
+    def failing(proc, b):
+        nonlocal calls
+        if proc.index == 2:
+            calls += 1
+            if calls > 5:
+                raise RuntimeError("processor 2 failed")
+        return process_bundle(proc, b)
+
+    monkeypatch.setattr(Processor, "process_bundle", failing)
+    threads_before = threading.active_count()
+    raised = []
+
+    def run():
+        try:
+            run_pipelined(RingConfig(p=4, s=10, k=3), [Arrival(i, i + 1) for i in range(20)])
+        except RuntimeError as exc:
+            raised.append(exc)
+
+    runner = threading.Thread(target=run, daemon=True)
+    runner.start()
+    runner.join(timeout=10)
+    assert not runner.is_alive(), "run_pipelined hung on a worker exception"
+    assert [str(exc) for exc in raised] == ["processor 2 failed"]
+    assert threading.active_count() == threads_before  # workers stopped
