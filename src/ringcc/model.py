@@ -22,13 +22,15 @@ def canonical_key(u, v):
 class LabeledEdge:
     """Circulating edge record: endpoints, their current relabels, timestamp.
 
-    Exactly five fields, matching the wire unit. Labels start primitive
-    (lu == u, lv == v) when the edge enters from the I/O side and are
-    rewritten in place as the edge moves downstream. The timestamp is the
-    newest observation of this endpoint pair.
+    Five wire fields (`snapshot`). Labels start primitive (lu == u,
+    lv == v) when the edge enters from the I/O side and are rewritten in
+    place as the edge moves downstream. The timestamp is the newest
+    observation of this endpoint pair. The sixth slot, `ck`, is the
+    canonical key, derived once from u and v (which never change after
+    construction): a simulator cache read on every hop, not protocol state.
     """
 
-    __slots__ = ("u", "v", "lu", "lv", "t")
+    __slots__ = ("u", "v", "lu", "lv", "t", "ck")
 
     def __init__(self, u, v, lu=None, lv=None, t=0):
         self.u = u
@@ -36,11 +38,10 @@ class LabeledEdge:
         self.lu = u if lu is None else lu
         self.lv = v if lv is None else lv
         self.t = t
+        self.ck = (u, v) if u <= v else (v, u)  # canonical_key, inlined
 
     def key(self):
-        u = self.u
-        v = self.v
-        return (u, v) if u <= v else (v, u)  # canonical_key, inlined: called per hop
+        return self.ck
 
     def reset_labels(self):
         """Back to primitive labels, used when an edge is recycled as new."""

@@ -5,6 +5,12 @@ exactly k slots. New edges are classified against the local union-find on
 their way to the builder; duplicates are absorbed wherever their stored copy
 lives; non-tree edges settle into the first open space. During bulk deletion
 the same driver additionally runs the testing and recycling phases.
+
+A full processor strictly downstream of the builder that is not aging, not
+the tail and has nothing queued hands a bundle of plain edges to a
+forward-only hop: holding no connectivity information, no space and (outside
+a deletion) no unresolved edge to trade, it could only absorb duplicates and
+forward every other edge in its slot, which is all the hop does.
 """
 
 from __future__ import annotations
@@ -154,6 +160,11 @@ class Processor:
     # ------------------------------------------------------------------ tick
 
     def process_bundle(self, b):
+        if (self.stored >= self.s and not (self.is_builder or self.sealed or self.aging
+                                           or self.is_tail or self.outq or b.builder_token)):
+            out = self._transit(b)
+            if out is not None:
+                return out
         pk = self._pk
         pk.primary = None
         pk.payload = []
@@ -175,6 +186,43 @@ class Processor:
         while outq and pk.payload_space() > 0:
             pk.pack(outq.popleft())
         return pk.bundle()
+
+    def _transit(self, b):
+        """Forward-only hop for a full processor strictly downstream of the
+        builder that is not aging and has nothing queued: each edge is either
+        a duplicate, absorbed here, or forwarded in its slot. Returns None,
+        leaving the bundle to the general path, when a slot holds anything
+        but an edge."""
+        prim = b.primary
+        if prim is not None and type(prim) is not LabeledEdge:
+            return None
+        payload = b.payload
+        for e in payload:
+            if type(e) is not LabeledEdge:
+                return None
+        dup = self.dup
+        absorbed = False
+        if prim is not None:
+            rec = dup.get(prim.ck)
+            if rec is not None:
+                if prim.t > rec.t:
+                    rec.t = prim.t
+                prim = None
+                absorbed = True
+        fwd = []
+        for e in payload:
+            rec = dup.get(e.ck)
+            if rec is None:
+                fwd.append(e)
+            else:
+                if e.t > rec.t:
+                    rec.t = e.t
+                absorbed = True
+        if not absorbed:
+            return b
+        if prim is None and not fwd:
+            return EMPTY_BUNDLE
+        return Bundle(prim, fwd)
 
     # ------------------------------------------------------- slot dispatch
 
@@ -320,7 +368,7 @@ class Processor:
     # ------------------------------------------------- constituent functions
 
     def _process_edge(self, e, primary, pk):
-        rec = self.dup.get(e.key())
+        rec = self.dup.get(e.ck)
         if rec is not None:
             # duplicates never propagate; the stored copy keeps the newest
             # timestamp (during aging either side could be newer)
@@ -444,7 +492,7 @@ class Processor:
             self.nontree.append(e)
         else:
             self.unresolved.append(e)
-        key = e.key()
+        key = e.ck
         self.dup[key] = e
         self.stored += 1
         self.reservoir.insert(e.u, e.v, e.t)
@@ -452,7 +500,7 @@ class Processor:
             self.hooks.stored(key, self.index)
 
     def _drop(self, e):
-        key = e.key()
+        key = e.ck
         del self.dup[key]
         self.stored -= 1
         if self.hooks is not None:

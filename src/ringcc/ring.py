@@ -597,7 +597,7 @@ class Ring:
             items = [bundle.primary] + list(bundle.payload)
             for it in items:
                 if type(it) is LabeledEdge:
-                    key = it.key()
+                    key = it.ck
                     if key not in out or it.t > out[key]:
                         out[key] = it.t
 
@@ -711,6 +711,14 @@ class Ring:
                 if pr.index > first_space and (pr.tree or pr.nontree):
                     found.append(Violation(self.t, "space-prefix", pr.index,
                                            f"resolved edges beyond first open space {first_space}"))
+
+        # only a deletion fills these pools, and it empties them before the
+        # processor leaves it; the transit hop in process_bundle relies on it
+        for pr in procs:
+            if not pr.aging and (pr.untested or pr.unresolved):
+                found.append(Violation(self.t, "pending-outside-aging", pr.index,
+                                       f"{len(pr.untested)} untested, "
+                                       f"{len(pr.unresolved)} unresolved while not aging"))
 
         if aging:
             loader = next((pr.index for pr in in_scope if pr.is_loader), None)

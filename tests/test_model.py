@@ -36,9 +36,15 @@ def test_edge_starts_with_primitive_labels():
 
 
 def test_edge_snapshot_has_the_five_wire_fields():
-    e = LabeledEdge(4, 9, t=17)
-    assert e.snapshot() == (4, 4, 9, 9, 17)
-    assert len(LabeledEdge.__slots__) == 5
+    e = LabeledEdge(9, 4, t=17)
+    assert e.snapshot() == (9, 9, 4, 4, 17)
+    # the five wire fields plus the canonical key, a cache derived from u, v
+    assert LabeledEdge.__slots__ == ("u", "v", "lu", "lv", "t", "ck")
+    assert e.key() == e.ck == canonical_key(9, 4)
+    e.lu = e.lv = 100
+    assert e.key() == canonical_key(9, 4)
+    e.reset_labels()
+    assert e.key() == canonical_key(9, 4)
 
 
 def test_bundle_occupancy():

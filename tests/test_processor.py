@@ -4,8 +4,17 @@ so the bundle plumbing stays realistic."""
 import random
 
 from ringcc.aging import TimestampThreshold
-from ringcc.model import Age, Arrival, Bundle, IDLE, LOADER_TOKEN, LabeledEdge
-from ringcc.processor import Packer, SlotOverflow
+from ringcc.model import (
+    EMPTY_BUNDLE,
+    IDLE,
+    LOADER_TOKEN,
+    Age,
+    Arrival,
+    Bundle,
+    FailSignal,
+    LabeledEdge,
+)
+from ringcc.processor import NONTREE, TREE, Packer, SlotOverflow
 from ringcc.ring import Ring, RingConfig
 
 import pytest
@@ -135,3 +144,56 @@ def test_store_counts_follow_moves():
         assert pr.stored == (len(pr.tree) + len(pr.nontree)
                              + len(pr.untested) + len(pr.unresolved))
         assert pr.stored == len(pr.dup)
+
+
+def full_processor(index, stored, **kw):
+    """Processor `index` of a three-position ring, filled with `stored`
+    (pairs, or (pair, class)) at timestamp 10."""
+    ring = Ring(cfg(p=3, s=len(stored), **kw))
+    proc = ring.processors[index]
+    for entry in stored:
+        (u, v), cls = entry if type(entry[0]) is tuple else (entry, NONTREE)
+        proc._accept(LabeledEdge(u, v, t=10), cls)
+    return proc
+
+
+def test_full_downstream_absorbs_duplicates_in_any_slot():
+    proc = full_processor(1, [(1, 2), (3, 4), (5, 6)])
+    new = LabeledEdge(7, 8, t=11)
+    b = Bundle(LabeledEdge(2, 1, t=20),
+               [LabeledEdge(4, 3, t=5), new, LabeledEdge(5, 6, t=30)])
+    out = proc.process_bundle(b)
+    assert out.primary is None and list(out.payload) == [new]
+    # the newer timestamp wins; an older copy never lowers it
+    assert {key: e.t for key, e in proc.dup.items()} == {(1, 2): 20, (3, 4): 10, (5, 6): 30}
+    assert proc.stored == 3
+
+
+def test_full_downstream_forwards_the_bundle_itself():
+    proc = full_processor(1, [(1, 2), (3, 4)])
+    a, b, c = LabeledEdge(5, 6), LabeledEdge(7, 8, lu=1, lv=1), LabeledEdge(9, 9)
+    bundle = Bundle(a, [b, c])
+    out = proc.process_bundle(bundle)
+    assert out is bundle
+    assert out.primary is a and list(out.payload) == [b, c]
+    assert (a.lu, a.lv, b.lu, b.lv) == (5, 6, 1, 1)  # no relabeling downstream
+    assert proc.process_bundle(Bundle(None, [c, a])).payload == [c, a]
+    dups = Bundle(LabeledEdge(3, 4), [LabeledEdge(2, 1)])
+    assert proc.process_bundle(dups) is EMPTY_BUNDLE
+
+
+def test_full_tail_still_signals_failure():
+    proc = full_processor(2, [(1, 2), (3, 4)])
+    out = proc.process_bundle(Bundle(LabeledEdge(5, 6, lu=1, lv=1)))
+    assert [type(x) for x in out.payload] == [FailSignal]
+
+
+def test_full_builder_still_relabels():
+    proc = full_processor(1, [((1, 2), TREE), (3, 4), (5, 6)])
+    proc.is_builder = True
+    e = LabeledEdge(2, 9, t=11)
+    out = proc.process_bundle(Bundle(e))
+    assert (e.lu, e.lv) == (1, 9)  # 2 is in the component named 1 here
+    assert e in proc.tree
+    # the newest non-tree edge makes room and settles further downstream
+    assert out.primary is None and [x.key() for x in out.payload] == [(5, 6)]

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from ringcc.model import Age, Arrival, Connectivity, EdgeCount, IDLE
+from ringcc.model import Age, Arrival, Connectivity, EdgeCount, IDLE, LabeledEdge
 from ringcc.aging import TimestampThreshold
 from ringcc.multipass import static_cc
 from ringcc.ring import Ring, RingConfig, SystemFailed
@@ -164,6 +164,23 @@ def test_audit_detects_injected_fault():
     mid.tree.append(edge)
     kinds = {v.kind for v in ring.audit_invariants()}
     assert "tree-downstream" in kinds
+
+
+def test_audit_detects_pending_edges_outside_aging():
+    ring = Ring(cfg(p=3, s=5, k=3))
+    for i in range(4):
+        ring.tick(Arrival(i, i + 1))
+    ring.drain()
+    mid = ring.processors[1]
+    assert not mid.aging
+    mid.unresolved.append(LabeledEdge(7, 8))
+    found = ring.audit_invariants()
+    assert [(v.kind, v.index) for v in found] == [("pending-outside-aging", 1)]
+    mid.unresolved.clear()
+    mid.untested.append(LabeledEdge(7, 8))
+    assert [v.kind for v in ring.audit_invariants()] == ["pending-outside-aging"]
+    mid.aging = True  # mid-deletion, the pools are expected
+    assert "pending-outside-aging" not in {v.kind for v in ring.audit_invariants()}
 
 
 def test_self_loops_store_as_nontree():
