@@ -24,7 +24,7 @@ from .model import (
 from .multipass import multipass_labels, partition, run_multipass, static_cc
 from .pipeline import ThreadedRing, run_pipelined
 from .ring import Ring, RingConfig, SystemFailed, Transcript
-from .unionfind import CapacityExhausted, LocalComponents, min_naming
+from .unionfind import CapacityExhausted, LocalComponents
 
 __all__ = [
     "Age", "Arrival", "AutoAge", "CapacityExhausted", "Connectivity",
@@ -32,6 +32,6 @@ __all__ = [
     "LocalComponents", "MaxComponent", "ReservoirSample", "Ring",
     "RingConfig", "SmallComponents", "SpanningTree", "SystemFailed",
     "ThreadedRing", "TimestampThreshold", "Transcript", "canonical_key",
-    "min_bandwidth_expansion", "min_naming", "multipass_labels", "partition",
+    "min_bandwidth_expansion", "multipass_labels", "partition",
     "required_free_space", "run_multipass", "run_pipelined", "static_cc",
 ]

@@ -12,7 +12,7 @@ static_cc is the unlimited-capacity oracle everything else is compared to.
 
 from __future__ import annotations
 
-from .unionfind import LocalComponents, min_naming
+from .unionfind import LocalComponents
 
 
 class PassStreams:
@@ -26,14 +26,14 @@ class PassStreams:
         self.labels = labels
 
 
-def run_pass(capacity, naming, edges_in, labels_in):
+def run_pass(capacity, edges_in, labels_in):
     """One pass: union a prefix of the edge stream (skipping edges already
     inside one component), relabel and emit the rest, then relabel incoming
     burial pairs and append this pass's own union-find relationships.
 
     Edges are 5-tuples (u, lu, v, lv, t); labels are (block, name) pairs.
     """
-    lc = LocalComponents(capacity, naming)
+    lc = LocalComponents(capacity)
     out_edges = []
     for (u, lu, v, lv, t) in edges_in:
         lu2 = lc.relabel(lu)
@@ -51,7 +51,7 @@ def run_pass(capacity, naming, edges_in, labels_in):
     return PassStreams(out_edges, out_labels)
 
 
-def run_multipass(capacity, naming=min_naming, arrivals=(), max_passes=None):
+def run_multipass(capacity, arrivals=(), max_passes=None):
     """Iterate run_pass until the edge stream empties; returns the per-pass
     streams (index 0 holds the first pass's output).
 
@@ -73,7 +73,7 @@ def run_multipass(capacity, naming=min_naming, arrivals=(), max_passes=None):
     while edges:
         if len(passes) >= max_passes:
             raise RuntimeError(f"no convergence after {max_passes} passes")
-        ps = run_pass(capacity, naming, edges, labels)
+        ps = run_pass(capacity, edges, labels)
         passes.append(ps)
         edges, labels = ps.edges, ps.labels
     if not passes:
@@ -99,9 +99,9 @@ def labeling_from_pairs(pairs, vertices):
     return out
 
 
-def multipass_labels(capacity, naming=min_naming, arrivals=()):
+def multipass_labels(capacity, arrivals=()):
     """End-to-end reference: component label per vertex of the input."""
-    passes = run_multipass(capacity, naming, arrivals)
+    passes = run_multipass(capacity, arrivals)
     vertices = set()
     for a in arrivals:
         if len(a) == 2:

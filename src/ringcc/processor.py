@@ -6,11 +6,23 @@ their way to the builder; duplicates are absorbed wherever their stored copy
 lives; non-tree edges settle into the first open space. During bulk deletion
 the same driver additionally runs the testing and recycling phases.
 
-A full processor strictly downstream of the builder that is not aging, not
-the tail and has nothing queued hands a bundle of plain edges to a
-forward-only hop: holding no connectivity information, no space and (outside
-a deletion) no unresolved edge to trade, it could only absorb duplicates and
-forward every other edge in its slot, which is all the hop does.
+A processor with no work of its own (not the builder, not aging, not the
+tail, nothing queued, no builder token arriving) hands a bundle of edges,
+behind an optional connectivity or count query, to a transit hop that does
+slot by slot what the general path would:
+
+- a duplicate is absorbed and the stored copy keeps the newer timestamp;
+- a sealed processor holds s tree edges, so it is full and cannot store:
+  it relabels an edge whose labels differ through its union-find, leaves an
+  already resolved one (equal labels) alone, and forwards either in its slot;
+- any other such processor is strictly downstream of the builder and has no
+  connectivity information: an edge with equal labels settles as non-tree
+  while space lasts, and every other edge rides on in its slot. Outside a
+  deletion it holds no unresolved edge that a full store could trade;
+- a connectivity query relabels both endpoints and is answered once they
+  meet; a count query adds the stored count.
+
+Every other bundle takes the general path, which stays the reference.
 """
 
 from __future__ import annotations
@@ -160,8 +172,8 @@ class Processor:
     # ------------------------------------------------------------------ tick
 
     def process_bundle(self, b):
-        if (self.stored >= self.s and not (self.is_builder or self.sealed or self.aging
-                                           or self.is_tail or self.outq or b.builder_token)):
+        if not (self.is_builder or self.aging or self.is_tail or self.outq
+                or b.builder_token):
             out = self._transit(b)
             if out is not None:
                 return out
@@ -188,37 +200,65 @@ class Processor:
         return pk.bundle()
 
     def _transit(self, b):
-        """Forward-only hop for a full processor strictly downstream of the
-        builder that is not aging and has nothing queued: each edge is either
-        a duplicate, absorbed here, or forwarded in its slot. Returns None,
-        leaving the bundle to the general path, when a slot holds anything
-        but an edge."""
+        """The general path, slot by slot, for a processor with no work of
+        its own: not the builder, not aging, not the tail, nothing queued
+        and no builder token arriving. Returns None, leaving the bundle to
+        the general path, when a slot holds anything but an edge, or a
+        connectivity or count query in the primary slot."""
         prim = b.primary
-        if prim is not None and type(prim) is not LabeledEdge:
-            return None
         payload = b.payload
+        tp = type(prim)
+        if not (prim is None or tp is LabeledEdge or tp is ConnQuery or tp is CountQuery):
+            return None
         for e in payload:
             if type(e) is not LabeledEdge:
                 return None
         dup = self.dup
-        absorbed = False
-        if prim is not None:
+        lc = self.lc
+        sealed = self.sealed
+        s = self.s
+        changed = False
+        if tp is LabeledEdge:
             rec = dup.get(prim.ck)
             if rec is not None:
                 if prim.t > rec.t:
                     rec.t = prim.t
                 prim = None
-                absorbed = True
+                changed = True
+            elif sealed:
+                if prim.lu != prim.lv:
+                    prim.lu = lc.relabel(prim.lu)
+                    prim.lv = lc.relabel(prim.lv)
+            elif prim.lu == prim.lv and self.stored < s:
+                self._accept(prim, NONTREE)
+                prim = None
+                changed = True
+        elif tp is ConnQuery:
+            if not prim.answer:
+                prim.lu = lc.relabel(prim.lu)
+                prim.lv = lc.relabel(prim.lv)
+                if prim.lu == prim.lv:
+                    prim.answer = True
+        elif tp is CountQuery:
+            prim.n += self.stored
         fwd = []
         for e in payload:
             rec = dup.get(e.ck)
-            if rec is None:
-                fwd.append(e)
-            else:
+            if rec is not None:
                 if e.t > rec.t:
                     rec.t = e.t
-                absorbed = True
-        if not absorbed:
+                changed = True
+            elif sealed:
+                if e.lu != e.lv:
+                    e.lu = lc.relabel(e.lu)
+                    e.lv = lc.relabel(e.lv)
+                fwd.append(e)
+            elif e.lu == e.lv and self.stored < s:
+                self._accept(e, NONTREE)
+                changed = True
+            else:
+                fwd.append(e)
+        if not changed:
             return b
         if prim is None and not fwd:
             return EMPTY_BUNDLE

@@ -17,10 +17,13 @@ ignored, as during any deletion. An `AUTOAGE` needs the primary slot and
 keeps waiting. The queue's depth is reported as an event whenever it
 changes.
 
-A processor whose input is the empty bundle, whose outbound queue is empty,
-which is not aging and holds no auto-age monitor would emit the empty bundle
-and change no state, so the lockstep engine does not call it: per-tick work
-follows the traffic on the ring, not the ring size.
+A processor whose input is the empty bundle, whose outbound queue is empty
+and which is not aging would emit the empty bundle and change no state, so
+the lockstep engine does not call it: per-tick work follows the traffic on
+the ring, not the ring size. The tail's auto-age monitor needs no wake-up of
+its own: its trigger reads only the tail's stored count and the monitor's
+phase, both change only inside a call, and every call checks the trigger
+before it returns.
 """
 
 from __future__ import annotations
@@ -437,8 +440,10 @@ class IOJunction:
 
 class Ring:
     """Lockstep engine: bundles move exactly one hop per tick. Every
-    processor advances once per tick, but only those with a non-empty input
-    or work of their own are called; for the rest the call is a no-op.
+    processor advances once per tick, but only those with a non-empty input,
+    a queued output or a deletion under way are called; for the rest the
+    call is a no-op. That holds for an idle tail with an auto-age monitor
+    too, since nothing outside a call moves the monitor's trigger.
     `_advance` alone schedules those calls; `ThreadedRing` replaces it."""
 
     def __init__(self, config):
@@ -520,7 +525,7 @@ class Ring:
             out = proc.process_bundle(b)
             if ran is not None:
                 ran.append((i, out))
-            if proc.outq or proc.aging or proc.monitor is not None:
+            if proc.outq or proc.aging:
                 if not nxt or nxt[-1] != i:
                     nxt.append(i)
             if out is not EMPTY_BUNDLE:
@@ -659,10 +664,13 @@ class Ring:
     def _audit_tick(self, ran):
         k = self.config.k
         for i, out in ran:
-            n = out.occupied()
-            if n > k:
-                self.violations.append(Violation(
-                    self.t, "slot-overflow", i, f"{n} occupied slots"))
+            # occupied() is at most len(payload) + 1: only k or more payload
+            # entries can overflow
+            if len(out.payload) >= k:
+                n = out.occupied()
+                if n > k:
+                    self.violations.append(Violation(
+                        self.t, "slot-overflow", i, f"{n} occupied slots"))
         self.violations.extend(self.audit_invariants())
 
     def audit_invariants(self):

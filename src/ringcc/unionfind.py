@@ -3,15 +3,11 @@
 Each ring processor owns one LocalComponents structure. Its elements are
 "blocks": either a primitive block (one graph vertex) or the name of a
 component built upstream. Capacity is measured in union operations, and a
-component is always named after one of its member blocks via a pluggable
-naming function (min by default), so no fresh-name allocator exists.
+component is always named after its smallest member block, so no fresh-name
+allocator exists.
 """
 
 from __future__ import annotations
-
-
-def min_naming(x, y):
-    return x if x <= y else y
 
 
 class CapacityExhausted(Exception):
@@ -23,12 +19,11 @@ class LocalComponents:
     record of consumption order so two structures fed the same operations
     are indistinguishable, including their dump output."""
 
-    __slots__ = ("capacity", "naming", "unions_used", "parent",
+    __slots__ = ("capacity", "unions_used", "parent",
                  "_count", "_prim_vertex", "_order")
 
-    def __init__(self, capacity, naming=min_naming):
+    def __init__(self, capacity):
         self.capacity = capacity
-        self.naming = naming
         self.unions_used = 0
         self.parent = {}         # block -> parent block (roots map to selves)
         self._count = {}         # root -> locally known vertex count
@@ -69,9 +64,6 @@ class LocalComponents:
     def has_capacity(self):
         return self.unions_used < self.capacity
 
-    def count_of(self, root):
-        return self._count.get(root, 0)
-
     # -- mutation -----------------------------------------------------------
 
     def _consume(self, b, vertex):
@@ -97,8 +89,7 @@ class LocalComponents:
         ry = self._chase(by)
         if rx == ry:
             raise ValueError(f"union of already-joined blocks {bx}, {by}")
-        winner = self.naming(rx, ry)
-        loser = ry if winner == rx else rx
+        winner, loser = (rx, ry) if rx <= ry else (ry, rx)
         self.parent[loser] = winner
         self._count[winner] = self._count.get(winner, 0) + self._count.pop(loser, 0)
         self.unions_used += 1

@@ -1,8 +1,8 @@
 """The lockstep engine calls only processors that have something to do.
 
-A processor whose input link is empty, whose outbound queue is empty, which
-is not aging and holds no auto-age monitor would emit an empty bundle and
-change nothing, so `Ring.tick` skips it. The threaded engine still calls
+A processor whose input link is empty, whose outbound queue is empty and
+which is not aging would emit an empty bundle and change nothing, so
+`Ring.tick` skips it, an idle tail holding the auto-age monitor included. The threaded engine still calls
 every processor every tick, which makes it the reference: on any stream the
 two transcripts must be byte-identical.
 """
@@ -99,3 +99,31 @@ def test_idle_processors_are_not_called(monkeypatch):
     assert ring.violations == []
     assert [e[4] for e in ring.transcript.outputs("answer")] == [True] * 20
     assert 0 < calls < p * ring.t
+
+
+def test_idle_tail_with_a_monitor_is_not_called(monkeypatch):
+    # the auto-age monitor at the tail changes only inside a call, so an
+    # idle tail is skipped like any other idle processor
+    tail_calls = []
+    process_bundle = Processor.process_bundle
+
+    def recorded(proc, b):
+        if proc.is_tail:
+            busy = not b.is_empty() or bool(proc.outq) or proc.aging
+            tail_calls.append((ring.t, busy))
+        return process_bundle(proc, b)
+
+    monkeypatch.setattr(Processor, "process_bundle", recorded)
+    rng = random.Random(7)
+    items = []
+    for _ in range(150):
+        items.extend(Arrival(rng.randrange(200), rng.randrange(200)) for _ in range(4))
+        items.extend([IDLE] * rng.randrange(10, 40))
+    ring = Ring(RingConfig(p=5, s=20, k=3, auto_age_c=0.5, search_circuits=2,
+                           validate=True))
+    ring.run_stream(items)
+    assert ring.violations == []
+    assert ring.transcript.text().count("auto-age requested") >= 2
+    # the first tick calls every processor; after that, only a busy tail
+    assert [t for t, busy in tail_calls if not busy] == [0]
+    assert len(tail_calls) < ring.t // 2

@@ -19,7 +19,7 @@ def test_first_pass_contraction_example():
     # redundant one, relabels the remainder, and buries f, g, h, k
     edges = as5([("e", "f"), ("f", "g"), ("e", "g"), ("b", "h"), ("j", "k"),
                  ("c", "g"), ("a", "c")])
-    ps = run_pass(4, min, edges, [])
+    ps = run_pass(4, edges, [])
     burials = dict(ps.labels)
     assert burials == {"f": "e", "g": "e", "h": "b", "k": "j"}
     # (c, g) survives relabeled to (c, e); (a, c) survives untouched
@@ -28,9 +28,9 @@ def test_first_pass_contraction_example():
 
 
 def test_empty_input():
-    ps = run_pass(4, min, [], [])
+    ps = run_pass(4, [], [])
     assert ps.edges == [] and ps.labels == []
-    passes = run_multipass(4, min, [])
+    passes = run_multipass(4, [])
     assert len(passes) == 1
     assert passes[0].edges == [] and passes[0].labels == []
 
@@ -39,7 +39,7 @@ def test_pass_preserves_components():
     rng = random.Random(5)
     for trial in range(25):
         edges = [(rng.randrange(10), rng.randrange(10)) for _ in range(20)]
-        ps = run_pass(3, min, as5(edges), [])
+        ps = run_pass(3, as5(edges), [])
         # survivors (by original endpoints) plus burial pairs must reconnect
         # exactly the input's components
         combined = [(e[0], e[2]) for e in ps.edges] + list(ps.labels)
@@ -50,12 +50,12 @@ def test_pass_preserves_components():
 
 
 def test_single_edge():
-    labels = multipass_labels(4, min, [(7, 3)])
+    labels = multipass_labels(4, [(7, 3)])
     assert labels == {7: 3, 3: 3}  # min naming keeps the smaller endpoint
 
 
 def test_disjoint_edges_get_distinct_labels():
-    labels = multipass_labels(4, min, [(1, 2), (3, 4)])
+    labels = multipass_labels(4, [(1, 2), (3, 4)])
     assert labels[1] == labels[2]
     assert labels[3] == labels[4]
     assert labels[1] != labels[3]
@@ -64,7 +64,7 @@ def test_disjoint_edges_get_distinct_labels():
 def test_random_graph_matches_static_oracle():
     rng = random.Random(17)
     edges = [(rng.randrange(60), rng.randrange(60)) for _ in range(500)]
-    labels = multipass_labels(7, min, edges)
+    labels = multipass_labels(7, edges)
     assert partition(labels) == partition(static_cc(edges))
 
 
@@ -77,7 +77,7 @@ def test_permutation_and_duplication_invariance():
         # arbitrary duplication then an arbitrary permutation
         stream += [rng.choice(base) for _ in range(rng.randrange(0, 80))]
         rng.shuffle(stream)
-        assert partition(multipass_labels(5, min, stream)) == want
+        assert partition(multipass_labels(5, stream)) == want
 
 
 def test_burial_pairs_form_stars():
@@ -85,7 +85,7 @@ def test_burial_pairs_form_stars():
     # pass ever names another burial in the same stream
     rng = random.Random(19)
     edges = [(rng.randrange(25), rng.randrange(25)) for _ in range(200)]
-    for ps in run_multipass(4, min, edges):
+    for ps in run_multipass(4, edges):
         firsts = {b for b, _ in ps.labels}
         seconds = {x for _, x in ps.labels}
         assert not (firsts & seconds)
@@ -94,7 +94,7 @@ def test_burial_pairs_form_stars():
 def test_pass_count_terminates_within_vertex_bound():
     rng = random.Random(29)
     edges = [(rng.randrange(30), rng.randrange(30)) for _ in range(300)]
-    passes = run_multipass(3, min, edges)
+    passes = run_multipass(3, edges)
     assert len(passes) <= 30 + 2
 
 

@@ -3,18 +3,20 @@ so the bundle plumbing stays realistic."""
 
 import random
 
-from ringcc.aging import TimestampThreshold
+from ringcc.aging import StatsProbe, SurvivorProbe, TimestampThreshold
 from ringcc.model import (
     EMPTY_BUNDLE,
     IDLE,
     LOADER_TOKEN,
     Age,
+    AgingToken,
     Arrival,
     Bundle,
     FailSignal,
     LabeledEdge,
 )
-from ringcc.processor import NONTREE, TREE, Packer, SlotOverflow
+from ringcc.processor import NONTREE, TREE, Packer, Processor, SlotOverflow
+from ringcc.queries import ConnQuery, CountQuery
 from ringcc.ring import Ring, RingConfig
 
 import pytest
@@ -197,3 +199,89 @@ def test_full_builder_still_relabels():
     assert e in proc.tree
     # the newest non-tree edge makes room and settles further downstream
     assert out.primary is None and [x.key() for x in out.payload] == [(5, 6)]
+
+
+def sealed_processor():
+    """Processor 1, sealed with the tree 1-2-3, whose component is named 1."""
+    proc = full_processor(1, [((1, 2), TREE), ((2, 3), TREE)])
+    proc.sealed = True
+    return proc
+
+
+def open_processor(stored):
+    """Processor 1 of a three-position ring with room for three edges,
+    holding the non-tree `stored` pairs at timestamp 10."""
+    proc = Ring(cfg(p=3, s=3)).processors[1]
+    for u, v in stored:
+        proc._accept(LabeledEdge(u, v, t=10), NONTREE)
+    return proc
+
+
+def test_sealed_processor_relabels_and_forwards_the_bundle_itself():
+    proc = sealed_processor()
+    a = LabeledEdge(3, 9, t=11)
+    b = LabeledEdge(4, 5, lu=2, lv=2, t=11)  # resolved upstream: left alone
+    c = LabeledEdge(2, 7, lu=3, lv=7, t=11)
+    bundle = Bundle(a, [b, c])
+    out = proc.process_bundle(bundle)
+    assert out is bundle
+    assert out.primary is a and list(out.payload) == [b, c]
+    assert [(e.lu, e.lv) for e in (a, b, c)] == [(1, 9), (2, 2), (1, 7)]
+    # a duplicate is still absorbed, and refreshes the stored tree edge
+    out = proc.process_bundle(Bundle(LabeledEdge(2, 1, t=30), [a]))
+    assert out.primary is None and list(out.payload) == [a]
+    assert proc.dup[(1, 2)].t == 30 and proc.stored == 2
+
+
+def test_open_space_settles_resolved_edges_until_full():
+    proc = open_processor([(1, 2)])
+    unresolved = LabeledEdge(3, 4, t=11)
+    r1, r2, r3 = (LabeledEdge(u, u + 1, lu=0, lv=0, t=11) for u in (5, 7, 9))
+    out = proc.process_bundle(Bundle(r1, [unresolved, r2, r3]))
+    assert proc.nontree[1:] == [r1, r2] and proc.stored == 3
+    assert out.primary is None and list(out.payload) == [unresolved, r3]
+    # once full, a resolved edge rides on like any other
+    r4 = LabeledEdge(11, 12, lu=0, lv=0, t=12)
+    bundle = Bundle(r4, [LabeledEdge(6, 5, t=13)])
+    out = proc.process_bundle(bundle)
+    assert out.primary is r4 and list(out.payload) == []
+    assert proc.dup[(5, 6)].t == 13 and proc.stored == 3
+
+
+def test_open_space_forwards_edges_whose_labels_differ():
+    proc = open_processor([])
+    a, b = LabeledEdge(3, 4, t=11), LabeledEdge(5, 6, lu=1, lv=2, t=11)
+    bundle = Bundle(a, [b])
+    assert proc.process_bundle(bundle) is bundle
+    assert (a.lu, a.lv, b.lu, b.lv) == (3, 4, 1, 2)
+    assert proc.stored == 0 and proc.dup == {} and proc.nontree == []
+
+
+@pytest.mark.parametrize("path", ["transit", "general"])
+def test_constant_queries_update_as_on_the_general_path(monkeypatch, path):
+    if path == "general":
+        monkeypatch.setattr(Processor, "_transit", lambda proc, b: None)
+    proc = sealed_processor()
+    met, apart, done = ConnQuery(0, 3, 2, 0), ConnQuery(1, 3, 9, 0), ConnQuery(2, 3, 3, 0)
+    for q in (met, apart, done):
+        assert proc.process_bundle(Bundle(q)).primary is q
+    assert (met.lu, met.lv, met.answer) == (1, 1, True)
+    assert (apart.lu, apart.lv, apart.answer) == (1, 9, False)
+    assert (done.lu, done.lv, done.answer) == (3, 3, True)  # answered: untouched
+    # a count adds what is stored before the bundle's own edges settle
+    proc = open_processor([(1, 2)])
+    q = CountQuery(3, 0)
+    q.n = 5
+    out = proc.process_bundle(Bundle(q, [LabeledEdge(5, 6, lu=0, lv=0)]))
+    assert out.primary is q and q.n == 6 and proc.stored == 2
+
+
+def test_probes_and_tokens_take_the_general_path():
+    proc = full_processor(1, [(1, 2), (3, 4)])
+    e = LabeledEdge(5, 6)
+    for b in (Bundle(e, [StatsProbe(1)]), Bundle(None, [e, SurvivorProbe(1, 4)]),
+              Bundle(None, [e, LOADER_TOKEN]), Bundle(AgingToken(TimestampThreshold(0)))):
+        assert proc._transit(b) is None
+    # the builder token never reaches the transit hop: it makes a builder
+    proc.process_bundle(Bundle(LabeledEdge(7, 8), [], builder_token=True))
+    assert proc.is_builder

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from ringcc.model import Age, Arrival, Connectivity, EdgeCount, IDLE, LabeledEdge
+from ringcc.model import Age, Arrival, Bundle, Connectivity, EdgeCount, IDLE, LabeledEdge
 from ringcc.aging import TimestampThreshold
 from ringcc.multipass import static_cc
 from ringcc.ring import Ring, RingConfig, SystemFailed
@@ -181,6 +181,20 @@ def test_audit_detects_pending_edges_outside_aging():
     assert [v.kind for v in ring.audit_invariants()] == ["pending-outside-aging"]
     mid.aging = True  # mid-deletion, the pools are expected
     assert "pending-outside-aging" not in {v.kind for v in ring.audit_invariants()}
+
+
+def test_audit_flags_an_overfull_output_once():
+    ring = Ring(cfg(p=3, s=5, k=3))
+    for i in range(4):
+        ring.tick(Arrival(i, i + 1))
+    ring.drain()
+    e = [LabeledEdge(10 + i, 20 + i) for i in range(4)]
+    ring._audit_tick([(0, Bundle(e[0], e[1:3])), (1, Bundle(None, e[:3])),
+                      (2, Bundle(None, [e[0], None, e[1], e[2]]))])
+    assert ring.violations == []  # k occupied slots each, however spread
+    ring._audit_tick([(0, Bundle(e[0], e[1:4])), (1, Bundle(e[0], e[1:3]))])
+    assert [(v.kind, v.index, v.detail) for v in ring.violations] == [
+        ("slot-overflow", 0, "4 occupied slots")]
 
 
 def test_self_loops_store_as_nontree():

@@ -1,16 +1,23 @@
-"""A full processor downstream of the builder forwards its bundle unchanged.
+"""A processor with no work of its own takes the transit hop.
 
-Such a processor, when it is not aging, not the tail and has nothing
-queued, can only absorb duplicates and pass every other edge on in its slot,
-so `Processor.process_bundle` hands bundles of plain edges to a forward-only
-hop. The general path is the reference: with the hop declined, every stream
-must give the same transcript, taps, stores and deletion log.
+Such a processor is not the builder, not aging, not the tail, has nothing
+queued and gets no builder token. `Processor.process_bundle` hands it any
+bundle of edges, behind an optional connectivity or count query, and
+`Processor._transit` does slot by slot what the general path would: absorb
+duplicates, relabel at a sealed processor, settle equal-label edges while
+space lasts, update the query, and forward the rest in its slot. The general
+path is the reference: with the hop declined, every stream must give the
+same transcript, taps, stores and deletion log. The hops are counted by
+kind (sealed relabel, settle, constant query, full relay) so that each kind
+is known to be exercised.
 """
 
 import random
+from collections import Counter
 
 from ringcc.model import Arrival, AutoAge
 from ringcc.processor import Processor
+from ringcc.queries import ConnQuery, CountQuery
 from ringcc.ring import Ring, RingConfig, SystemFailed
 
 from test_idle_skip import drain_padding, mixed_items
@@ -27,21 +34,30 @@ def run(cfg, items):
     return ring, None
 
 
+def hop_kind(proc, b):
+    """Which transit hop a non-empty bundle at `proc` would take."""
+    if type(b.primary) in (ConnQuery, CountQuery):
+        return "query"
+    if proc.sealed:
+        return "sealed"
+    return "settle" if proc.stored < proc.s else "relay"
+
+
 def run_both(monkeypatch, cfg, items):
     """Run the stream with the transit hop declined, then as is; both runs
-    must agree. Returns the failure, if any, and the hops taken."""
+    must agree. Returns the failure, if any, and the hops taken by kind."""
     case = str(cfg)
     monkeypatch.setattr(Processor, "_transit", lambda proc, b: None)
     ref, ref_failed = run(cfg, items)
     monkeypatch.undo()
     transit = Processor._transit
-    hops = 0
+    hops = Counter()
 
     def counted(proc, b):
-        nonlocal hops
+        kind = hop_kind(proc, b)
         out = transit(proc, b)
-        if out is not None:
-            hops += 1
+        if out is not None and not b.is_empty():
+            hops[kind] += 1
         return out
 
     monkeypatch.setattr(Processor, "_transit", counted)
@@ -59,7 +75,7 @@ def run_both(monkeypatch, cfg, items):
 
 
 def test_transit_matches_general_path(monkeypatch):
-    hops = 0
+    hops = Counter()
     for p in (1, 2, 5, 10):
         for k in (2, 3, 5):
             rng = random.Random(100 * p + k)
@@ -71,7 +87,8 @@ def test_transit_matches_general_path(monkeypatch):
             assert sum(type(it) is Arrival for it in items) >= 3 * p * s
             hops += run_both(monkeypatch, dict(p=p, s=s, k=k, seed=p, search_circuits=2),
                              items)[1]
-    assert hops >= 1000
+    for kind in ("sealed", "settle", "query", "relay"):
+        assert hops[kind] >= 500, hops
 
 
 def test_full_tail_fails_on_the_same_tick(monkeypatch):
@@ -83,4 +100,4 @@ def test_full_tail_fails_on_the_same_tick(monkeypatch):
     failed, hops = run_both(monkeypatch, dict(p=4, s=10, k=3),
                             [Arrival(u, v) for u, v in pairs])
     assert failed is not None and "storage exhausted" in failed
-    assert hops > 0
+    assert hops["relay"] > 0

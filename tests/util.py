@@ -147,7 +147,7 @@ def check_hop_equivalence(ring, edges, p, s):
     from ringcc.multipass import run_multipass
 
     arrivals = [(u, u, v, v, i) for i, (u, v) in enumerate(edges)]
-    passes = run_multipass(s, min, arrivals)
+    passes = run_multipass(s, arrivals)
     assert len(passes) <= p
     for i in range(p):
         if i < len(passes):
