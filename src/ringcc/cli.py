@@ -7,10 +7,12 @@
 
 Query results print as "<tick> OUT q<id> <result>"; other boundary events as
 "<tick> EVT ...". Exit status 2 means the run died with storage exhausted;
-the failing tick goes to stderr. `--engine pipelined` (one thread per
-processor) drains and writes `--metrics` like the lockstep engine but refuses
-`--validate` with exit status 1: concurrent processors cannot run the auditor.
-Likewise `experiment` refuses, with exit status 1, a flag its harness has no
+the failing tick goes to stderr. Exit status 3 means `--validate` recorded
+violations, which go to stderr too; when a run has both, stderr holds both
+and the status is 3. `--engine pipelined` (one thread per processor) drains
+and writes `--metrics` like the lockstep engine but refuses `--validate`
+with exit status 1: concurrent processors cannot run the auditor. Likewise
+`experiment` refuses, with exit status 1, a flag its harness has no
 use for.
 """
 
@@ -95,15 +97,16 @@ def cmd_run(args):
             writer = csv.writer(fh)
             writer.writerow(METRICS_HEADER)
             writer.writerows(ring.metrics)
+    status = 0
     if args.validate and ring.violations:
         for v in ring.violations[:50]:
             print(f"violation tick={v.tick} {v.kind} p{v.index}: {v.detail}",
                   file=sys.stderr)
-        return 3
+        status = 3
     if failure is not None:
         print(f"FAILED at tick {failure.tick}: {failure.reason}", file=sys.stderr)
-        return 2
-    return 0
+        status = status or 2
+    return status
 
 
 def cmd_gen(args):

@@ -679,7 +679,82 @@ class Ring:
         While a deletion token is still propagating, processors it has not
         reached keep their old stores, so the layout checks cover only the
         prefix that has switched regimes.
+
+        One pass over the processors keeps one summary per check: the
+        builder count and first builder; the first in-scope processor short
+        of `s` tree edges and the last one holding any; the first open space
+        and the last processor holding a resolved edge; the first holder of
+        an unresolved edge and the first loader; and whether a processor
+        outside a deletion holds untested or unresolved edges. Every check
+        flags the processors on one side of an index (the builder, the
+        loader or the first open space), so it flags one iff the extreme
+        processor of its kind lies on that side, and the summaries are clean
+        exactly when the scan would find nothing. Then the pass returns
+        `[]`; otherwise `_audit_scan`, the only code that builds `Violation`
+        records, reports in detail.
         """
+        procs = self.processors
+        p = self.config.p
+        s = self.config.s
+        junction = self.junction
+        aging = junction.mode == "aging"
+        scope = p
+        if aging and self.aging_started_tick is not None:
+            scope = min(p, self.t - self.aging_started_tick + 1)
+        nbuilders = 0
+        builder = loader = None
+        first_short = first_unresolved = p  # p: none
+        first_space = scope
+        last_tree = last_resolved = -1
+        pending = False
+        for i, pr in enumerate(procs[:scope]):
+            if pr.untested or pr.unresolved:
+                if not pr.aging:
+                    pending = True
+                if pr.unresolved and first_unresolved == p:
+                    first_unresolved = i
+            if pr.is_builder:
+                nbuilders += 1
+                if builder is None:
+                    builder = i
+            if pr.is_loader and loader is None:
+                loader = i
+            ntree = len(pr.tree)
+            if ntree:
+                last_tree = last_resolved = i
+            elif pr.nontree:
+                last_resolved = i
+            if ntree != s and first_short == p:
+                first_short = i
+            if pr.stored < s and first_space == scope:
+                first_space = i
+        for pr in procs[scope:]:
+            if (pr.untested or pr.unresolved) and not pr.aging:
+                pending = True
+
+        if pending or nbuilders > 1:
+            return self._audit_scan()
+        if builder is None:
+            builder = self._builder_token_position()
+            if builder is None:
+                return self._audit_scan()
+        if first_short < builder or last_tree > builder:
+            return self._audit_scan()
+        if not aging:
+            if self.t >= junction.age_hold_until and last_resolved > first_space:
+                return self._audit_scan()
+            return []
+        if loader is None:
+            loader = self._loader_token_position()
+        if loader is not None and (
+                (nbuilders == 1 and builder > loader) or first_unresolved < loader):
+            return self._audit_scan()
+        return []
+
+    def _audit_scan(self):
+        """The detailed layout checks: one `Violation` per offending
+        processor, in a fixed order. `audit_invariants` calls this only when
+        its summaries show that something is wrong."""
         found = []
         procs = self.processors
         p = self.config.p
@@ -694,7 +769,7 @@ class Ring:
         if len(builders) > 1:
             found.append(Violation(self.t, "builder-count", -1,
                                    f"{len(builders)} builders in scope {scope}"))
-        b = builders[0] if builders else self._builder_token_position(scope)
+        b = builders[0] if builders else self._builder_token_position()
         if b is None:
             found.append(Violation(self.t, "builder-count", -1,
                                    f"no builder in scope {scope}"))
@@ -731,7 +806,7 @@ class Ring:
         if aging:
             loader = next((pr.index for pr in in_scope if pr.is_loader), None)
             if loader is None:
-                loader = self._loader_token_position(scope)
+                loader = self._loader_token_position()
             if loader is not None:
                 if builders and len(builders) == 1 and builders[0] > loader:
                     found.append(Violation(self.t, "builder-past-loader", builders[0],
@@ -742,7 +817,7 @@ class Ring:
                                                f"{len(pr.unresolved)} unresolved before loader {loader}"))
         return found
 
-    def _loader_token_position(self, scope):
+    def _loader_token_position(self):
         # token in flight: it sits in the link feeding its next holder
         for i in range(1, self.config.p):
             for it in self.links[i].payload:
@@ -753,7 +828,7 @@ class Ring:
                 return self.config.p
         return None
 
-    def _builder_token_position(self, scope):
+    def _builder_token_position(self):
         for i in range(1, self.config.p):
             if self.links[i].builder_token:
                 return i

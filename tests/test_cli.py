@@ -4,6 +4,7 @@ import json
 import pytest
 
 from ringcc.cli import main
+from ringcc.ring import Ring, Violation
 
 
 def write(tmp_path, name, text):
@@ -131,3 +132,21 @@ def test_experiment_refuses_flags_it_would_ignore(argv, flag, capsys):
     err = capsys.readouterr().err
     assert rc == 1
     assert flag in err
+
+
+def test_run_reports_failure_and_violations(tmp_path, capsys, monkeypatch):
+    planted = [Violation(0, "tree-prefix", 0, "planted")]
+
+    def audit(ring):
+        found = planted[:]
+        planted.clear()
+        return found
+
+    monkeypatch.setattr(Ring, "audit_invariants", audit)
+    stream = write(tmp_path, "s.txt",
+                   "".join(f"E {i} {i + 100}\n" for i in range(20)))
+    rc = main(["run", stream, "-p", "2", "-s", "2", "-k", "2", "--validate", "--quiet"])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 3
+    assert "violation tick=0 tree-prefix p0: planted" in err
+    assert any(line.startswith("FAILED at tick") for line in err)

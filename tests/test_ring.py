@@ -209,3 +209,85 @@ def test_self_loops_store_as_nontree():
     answers = [e[4] for e in ring.transcript.outputs("answer")]
     assert answers == [True, False]
     assert ring.stored_edges() == {(5, 5): 0, (1, 2): 1}
+
+
+def path_ring(edges, p=3, s=5, k=3):
+    """A drained ring holding a path, so every edge is a tree edge."""
+    ring = Ring(cfg(p=p, s=s, k=k))
+    for i in range(edges):
+        ring.tick(Arrival(i, i + 1))
+    ring.drain()
+    assert ring.audit_invariants() == []
+    return ring
+
+
+def planted(ring):
+    found = ring.audit_invariants()
+    assert found == ring._audit_scan()
+    return [(v.kind, v.index, v.detail) for v in found]
+
+
+def test_audit_detects_a_missing_builder():
+    ring = path_ring(4)
+    ring.processors[0].is_builder = False
+    assert planted(ring) == [("builder-count", -1, "no builder in scope 3")]
+
+
+def test_audit_detects_a_second_builder():
+    ring = path_ring(4)
+    ring.processors[2].is_builder = True
+    assert planted(ring) == [("builder-count", -1, "2 builders in scope 3")]
+
+
+def test_audit_detects_a_short_sealed_processor():
+    ring = path_ring(12)
+    assert [len(pr.tree) for pr in ring.processors] == [5, 5, 2]
+    ring.processors[0].tree.pop()
+    assert planted(ring) == [("tree-prefix", 0, "sealed processor holds 4/5 tree edges")]
+
+
+def test_audit_detects_tree_edges_downstream_of_the_builder():
+    # only the tree layout is off: no open space precedes a resolved edge
+    ring = path_ring(12)
+    ring.processors[0].is_builder = True
+    ring.processors[2].is_builder = False
+    assert planted(ring) == [
+        ("tree-downstream", 1, "5 tree edges downstream of builder 0"),
+        ("tree-downstream", 2, "2 tree edges downstream of builder 0")]
+
+
+def test_audit_detects_resolved_edges_beyond_the_first_open_space():
+    ring = path_ring(8)
+    assert [pr.stored for pr in ring.processors] == [5, 3, 0]
+    ring.processors[2].nontree.append(LabeledEdge(7, 7))
+    assert planted(ring) == [
+        ("space-prefix", 2, "resolved edges beyond first open space 1")]
+
+
+def rebuilding_ring(until):
+    """A full path ring rebuilding every edge, ticked until `until(procs)`."""
+    ring = path_ring(12)
+    ring.tick(Age(TimestampThreshold(0)))
+    while not until(ring.processors):
+        assert ring.junction.mode == "aging"
+        ring.tick(IDLE)
+    assert ring.audit_invariants() == []
+    return ring
+
+
+def test_audit_detects_the_builder_past_the_loader():
+    ring = rebuilding_ring(lambda procs: procs[1].is_builder and procs[1].is_loader)
+    head, mid = ring.processors[:2]
+    mid.is_loader = False
+    head.is_loader = True
+    assert planted(ring) == [("builder-past-loader", 1, "builder 1 > loader 0")]
+
+
+def test_audit_detects_unresolved_edges_upstream_of_the_loader():
+    ring = rebuilding_ring(lambda procs: procs[1].is_loader)
+    mid, tail = ring.processors[1:]
+    assert len(mid.unresolved) == 3 and tail.aging
+    mid.is_loader = False
+    tail.is_loader = True
+    assert planted(ring) == [
+        ("unresolved-upstream", 1, "3 unresolved before loader 2")]
