@@ -82,11 +82,14 @@ def required_free_space(c, S, p, k):
 
 
 class ReservoirSample:
-    """Classic fixed-size uniform sample of everything accepted here.
+    """Classic fixed-size uniform sample of everything accepted here
+    (Vitter's Algorithm R).
 
     Each inserted edge ends up in the sample with probability size/seen.
     Only (u, v, t) snapshots are kept; staleness against later timestamp
-    refreshes is absorbed by the search's accuracy band.
+    refreshes is absorbed by the search's accuracy band. A processor keeps
+    one only while the automatic policy is armed; an `AUTOAGE` mid-stream
+    seeds it by inserting the processor's current store.
     """
 
     __slots__ = ("size", "rng", "samples", "seen")

@@ -12,8 +12,9 @@ violations, which go to stderr too; when a run has both, stderr holds both
 and the status is 3. `--engine pipelined` (one thread per processor) drains
 and writes `--metrics` like the lockstep engine but refuses `--validate`
 with exit status 1: concurrent processors cannot run the auditor. Likewise
-`experiment` refuses, with exit status 1, a flag its harness has no
-use for.
+`run` refuses, with exit status 1, `--reservoir` and `--auto-age-margin`
+when neither `--auto-age-c` nor an AUTOAGE line arms the automatic policy,
+and `experiment` refuses a flag its harness has no use for.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import json
 import sys
 
 from .experiments import run_experiment_1, run_experiment_2, run_experiment_3
-from .model import Arrival
+from .model import Arrival, AutoAge
 from .multipass import multipass_labels
 from .pipeline import ThreadedRing
 from .ring import Ring, RingConfig, SystemFailed
@@ -55,20 +56,26 @@ def _add_ring_options(sub):
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--metrics", metavar="CSV",
                      help="write per-tick storage metrics")
-    sub.add_argument("--reservoir", type=int, default=100,
-                     help="sample size for the automatic aging policy")
+    sub.add_argument("--reservoir", type=int,
+                     help="sample size for the automatic aging policy "
+                          f"(default {RingConfig.reservoir})")
     sub.add_argument("--auto-age-c", type=float, default=None,
                      help="arm automatic deletion at this survivor fraction")
-    sub.add_argument("--auto-age-margin", type=float, default=1.25)
+    sub.add_argument("--auto-age-margin", type=float,
+                     help="safety margin on the policy's trigger point "
+                          f"(default {RingConfig.auto_age_margin})")
     sub.add_argument("--quiet", action="store_true",
                      help="suppress transcript output")
 
 
 def _config_from(args):
+    reservoir, margin = args.reservoir, args.auto_age_margin
     return RingConfig(
         p=args.processors, s=args.capacity, k=args.bundle,
-        validate=args.validate, seed=args.seed, reservoir=args.reservoir,
-        auto_age_c=args.auto_age_c, auto_age_margin=args.auto_age_margin,
+        validate=args.validate, seed=args.seed,
+        reservoir=RingConfig.reservoir if reservoir is None else reservoir,
+        auto_age_c=args.auto_age_c,
+        auto_age_margin=RingConfig.auto_age_margin if margin is None else margin,
         metrics=bool(args.metrics),
     )
 
@@ -82,6 +89,16 @@ def cmd_run(args):
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1
+    if args.auto_age_c is None and not any(type(it) is AutoAge for it in items):
+        # the policy's tuning flags are refused rather than ignored
+        refused = [flag for flag, value in (("--reservoir", args.reservoir),
+                                            ("--auto-age-margin", args.auto_age_margin))
+                   if value is not None]
+        if refused:
+            print(f"run does not use {', '.join(refused)} unless --auto-age-c "
+                  "or an AUTOAGE line arms the automatic aging policy",
+                  file=sys.stderr)
+            return 1
     ring = (ThreadedRing if args.engine == "pipelined" else Ring)(_config_from(args))
     failure = None
     try:

@@ -127,7 +127,13 @@ class Packer:
 
 
 class Processor:
-    """State and behavior of ring position `index`."""
+    """State and behavior of ring position `index`.
+
+    `reservoir`, the automatic policy's uniform sample of this store, is
+    None until the policy is armed: it is built at construction when
+    `config.auto_age_c` is set, and otherwise when an `ArmAutoAge` passes,
+    seeded then from the edges already stored here.
+    """
 
     def __init__(self, index, config, hooks=None):
         self.index = index
@@ -147,8 +153,9 @@ class Processor:
         self.dup = {}
         self.stored = 0
 
-        rng = random.Random(f"{config.seed}/reservoir/{index}")
-        self.reservoir = ReservoirSample(config.reservoir, rng)
+        self.reservoir = None
+        if config.auto_age_c is not None:
+            self._start_sampler()
 
         self.is_builder = self.is_head
         self.sealed = False
@@ -186,6 +193,11 @@ class Processor:
         prim = b.primary
         if prim is not None:
             self._primary_slot(prim, pk)
+            if b.builder_token and type(prim) is AgingToken:
+                # begin_aging just reset the role, but the sender began aging
+                # before it passed builder duty on: the token belongs to the
+                # new regime and must survive
+                self.is_builder = True
         for item in b.payload:
             if item is not None:
                 self._payload_slot(item, pk)
@@ -310,6 +322,8 @@ class Processor:
                 self.scratch = None
             pk.set_primary(item)
         elif type(item) is ArmAutoAge:
+            if self.reservoir is None:
+                self._start_sampler()
             if self.is_tail:
                 self._arm_monitor(item.target_c)
             pk.set_primary(item)
@@ -396,6 +410,8 @@ class Processor:
             else:
                 self.outq.append(item)
         elif t is SurvivorProbe:
+            # the tail arms only after the ArmAutoAge has passed every
+            # processor, so every processor a probe reaches has a sampler
             item.fold(self.stored * self.reservoir.survivor_fraction(item.threshold))
             if self.is_tail:
                 if self.monitor is not None:
@@ -535,7 +551,9 @@ class Processor:
         key = e.ck
         self.dup[key] = e
         self.stored += 1
-        self.reservoir.insert(e.u, e.v, e.t)
+        reservoir = self.reservoir
+        if reservoir is not None:
+            reservoir.insert(e.u, e.v, e.t)
         if self.hooks is not None:
             self.hooks.stored(key, self.index)
 
@@ -585,7 +603,8 @@ class Processor:
         self.is_loader = self.is_head
         self.seal_pending = False
         self.deletions = 0
-        self.reservoir.reset()
+        if self.reservoir is not None:
+            self.reservoir.reset()
         if self.monitor is not None:
             self.monitor.reset()
         self.scratch = None
@@ -710,6 +729,17 @@ class Processor:
         self.outq.append(TreeDumpEnd(qid))
 
     # ------------------------------------------------------------- policy
+
+    def _start_sampler(self):
+        """Build the reservoir sample and seed it with the current store, in
+        storage order, through the ordinary insert. An empty store draws no
+        random number, so arming at tick 0 samples exactly as arming at
+        construction does."""
+        cfg = self.config
+        rng = random.Random(f"{cfg.seed}/reservoir/{self.index}")
+        self.reservoir = ReservoirSample(cfg.reservoir, rng)
+        for e in self.dup.values():
+            self.reservoir.insert(e.u, e.v, e.t)
 
     def _arm_monitor(self, target_c):
         cfg = self.config

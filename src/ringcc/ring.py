@@ -230,6 +230,11 @@ class IOJunction:
     # -- outgoing side -------------------------------------------------------
 
     def step(self, tick, ret, item):
+        if ret is EMPTY_BUNDLE and not self.pending and type(item) is not Age:
+            # nothing came back and nothing waits (an AGE may have to, see
+            # below): the tick's item alone fills the head's primary slot
+            primary = self._admit(tick, item)
+            return EMPTY_BUNDLE if primary is None else Bundle(primary)
         reenter = []
         reinject = []
         primary_override = self._extract(tick, ret, reenter, reinject)

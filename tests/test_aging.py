@@ -11,7 +11,7 @@ from ringcc.aging import (
     min_bandwidth_expansion,
     required_free_space,
 )
-from ringcc.model import Age, Arrival, Connectivity, IDLE
+from ringcc.model import Age, Arrival, AutoAge, Connectivity, EdgeCount, IDLE
 from ringcc.ring import Ring, RingConfig
 
 from util import replay_oracle
@@ -70,6 +70,77 @@ def test_reservoir_inclusion_probability():
 def test_reservoir_empty_fraction_defaults_to_keep():
     r = ReservoirSample(10, random.Random(0))
     assert r.survivor_fraction(123) == 1.0
+
+
+# ------------------------------------------------------ sampler gating
+
+def test_unarmed_ring_keeps_no_sampler():
+    rng = random.Random(3)
+    items = []
+    for t in range(300):
+        r = rng.random()
+        if r < 0.1:
+            items.append(Connectivity(rng.randrange(30), rng.randrange(30)))
+        elif r < 0.12:
+            items.append(EdgeCount())
+        elif r < 0.13:
+            items.append(Age(TimestampThreshold(t // 2)))
+        else:
+            items.append(Arrival(rng.randrange(30), rng.randrange(30)))
+    ring = run_items(Ring(RingConfig(p=3, s=120, k=3, validate=True)), items)
+    assert ring.aging_log and ring.transcript.outputs("answer")
+    assert all(proc.reservoir is None for proc in ring.processors)
+    assert ring.violations == []
+
+
+def settled_ring(config, n=400, seed=5):
+    """A ring that stored n random arrivals and has nothing in flight."""
+    rng = random.Random(seed)
+    items = [Arrival(rng.randrange(150), rng.randrange(150)) for _ in range(n)]
+    return run_items(Ring(config), items)
+
+
+def pass_autoage(ring):
+    """Send an AUTOAGE around an idle ring, yielding each processor the
+    tick it has passed it."""
+    ring.tick(AutoAge(0.5))
+    for proc in ring.processors:
+        if proc.index:
+            ring.tick(IDLE)
+        yield proc
+
+
+def test_mid_stream_autoage_seeds_each_sampler_from_its_store():
+    config = RingConfig(p=3, s=200, k=4, validate=True, reservoir=20)
+    ring = settled_ring(config)
+    assert max(proc.stored for proc in ring.processors) > config.reservoir
+    for proc in pass_autoage(ring):
+        sampler = proc.reservoir
+        assert sampler is not None and sampler.seen == proc.stored
+        assert len(sampler.samples) == min(config.reservoir, proc.stored)
+        stored = {(e.u, e.v, e.t) for e in proc.dup.values()}
+        assert set(sampler.samples) <= stored
+        assert all(q.reservoir is None for q in ring.processors[proc.index + 1:])
+    assert ring.violations == []
+
+
+def test_autoage_at_tick_zero_samples_as_if_armed_at_construction():
+    config = RingConfig(p=3, s=50, k=3, seed=7)
+    for proc in pass_autoage(Ring(config)):
+        fresh = random.Random(f"{config.seed}/reservoir/{proc.index}")
+        assert proc.reservoir.seen == 0
+        assert proc.reservoir.rng.getstate() == fresh.getstate()
+
+
+def test_second_autoage_neither_reseeds_nor_resets():
+    config = RingConfig(p=3, s=200, k=4, validate=True, reservoir=20)
+    ring = settled_ring(config)
+    for _ in pass_autoage(ring):
+        pass
+    before = [(proc.reservoir, proc.reservoir.seen) for proc in ring.processors]
+    for _ in pass_autoage(ring):
+        pass
+    assert [(proc.reservoir, proc.reservoir.seen) for proc in ring.processors] == before
 
 
 # ---------------------------------------------------------------- search

@@ -74,10 +74,18 @@ def backlog_stream(seed):
     return config, items
 
 
-# seeds whose rings the audit flags: deletions on p=3 and p=5 rings with
-# s=4 k=5 that leave no builder in scope, and two k=2 rebuilds that leave
-# resolved edges beyond the first open space
+# seeds whose rings the audit flagged: deletions on p=3 and p=5 rings with
+# s=4 k=5 that lost the builder token riding with the deletion token (now
+# kept, so 24988 runs clean and 4087 runs out of storage first), and two
+# k=2 rebuilds that leave resolved edges beyond the first open space
 FLAGGED_SEEDS = (4087, 24988, 7771, 21228)
+
+
+def test_builder_token_riding_with_the_deletion_token_keeps_the_audit_clean():
+    config, items = backlog_stream(24988)
+    ring = Ring(config)
+    ring.run_stream(items, drain=False)
+    assert ring.violations == []
 
 
 def test_summaries_match_the_scan_where_the_audit_flags():

@@ -3,8 +3,8 @@ import json
 
 import pytest
 
-from ringcc.cli import main
-from ringcc.ring import Ring, Violation
+from ringcc.cli import _config_from, build_parser, main
+from ringcc.ring import Ring, RingConfig, Violation
 
 
 def write(tmp_path, name, text):
@@ -132,6 +132,39 @@ def test_experiment_refuses_flags_it_would_ignore(argv, flag, capsys):
     err = capsys.readouterr().err
     assert rc == 1
     assert flag in err
+
+
+@pytest.mark.parametrize("flags", [["--reservoir", "50"],
+                                   ["--auto-age-margin", "2"],
+                                   ["--reservoir", "50", "--auto-age-margin", "2"]])
+def test_run_refuses_policy_flags_nothing_arms(tmp_path, capsys, flags):
+    stream = write(tmp_path, "s.txt", "E 1 2\nQ 1 2\n")
+    rc = main(["run", stream, "-p", "2", "-s", "50", "-k", "3"] + flags)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert all(flag in err for flag in flags if flag.startswith("--"))
+
+
+def test_unset_policy_flags_take_the_config_defaults():
+    config = _config_from(build_parser().parse_args(["run", "s.txt"]))
+    assert (config.reservoir, config.auto_age_margin) == (
+        RingConfig.reservoir, RingConfig.auto_age_margin) == (100, 1.25)
+
+
+def test_run_accepts_policy_flags_with_auto_age_c(tmp_path, capsys):
+    stream = write(tmp_path, "s.txt", "E 1 2\nQ 1 2\n")
+    rc = main(["run", stream, "-p", "2", "-s", "50", "-k", "3", "--auto-age-c", "0.5",
+               "--reservoir", "50", "--auto-age-margin", "2"])
+    assert rc == 0
+    assert "OUT q0 true" in capsys.readouterr().out
+
+
+def test_run_accepts_policy_flags_with_an_autoage_line(tmp_path, capsys):
+    stream = write(tmp_path, "s.txt", "AUTOAGE 0.5\nE 1 2\nQ 1 2\n")
+    rc = main(["run", stream, "-p", "2", "-s", "50", "-k", "3",
+               "--reservoir", "50", "--auto-age-margin", "2"])
+    assert rc == 0
+    assert "OUT q0 true" in capsys.readouterr().out
 
 
 def test_run_reports_failure_and_violations(tmp_path, capsys, monkeypatch):

@@ -58,6 +58,15 @@ def test_builder_token_moves_building_duty():
     assert len(head.tree) == 3 and len(nxt.tree) == 1
 
 
+def test_builder_token_riding_with_the_deletion_token_survives():
+    # the sender began aging before it sealed and passed builder duty on, so
+    # the token belongs to the new regime
+    proc = Processor(1, cfg(p=3, s=4, k=5))
+    proc.process_bundle(Bundle(AgingToken(TimestampThreshold(0)), [],
+                               builder_token=True))
+    assert proc.aging and proc.is_builder
+
+
 def test_builder_jettisons_nontree_for_tree():
     # head capacity 3: two tree edges plus one non-tree fill it; the next
     # tree edge displaces the non-tree downstream

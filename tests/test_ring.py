@@ -2,10 +2,13 @@ import random
 
 import pytest
 
-from ringcc.model import Age, Arrival, Bundle, Connectivity, EdgeCount, IDLE, LabeledEdge
+from ringcc.model import (
+    EMPTY_BUNDLE, Age, Arrival, Bundle, Connectivity, EdgeCount, IDLE, LabeledEdge)
 from ringcc.aging import TimestampThreshold
 from ringcc.multipass import static_cc
-from ringcc.ring import Ring, RingConfig, SystemFailed
+from ringcc.ring import IOJunction, Ring, RingConfig, SystemFailed
+
+from test_idle_skip import drain_padding, mixed_items
 
 
 def cfg(**kw):
@@ -291,3 +294,54 @@ def test_audit_detects_unresolved_edges_upstream_of_the_loader():
     tail.is_loader = True
     assert planted(ring) == [
         ("unresolved-upstream", 1, "3 unresolved before loader 2")]
+
+
+@pytest.mark.parametrize("p", [1, 5, 10])
+def test_junction_shortcut_matches_the_full_step(p, monkeypatch):
+    # a fresh empty bundle in place of EMPTY_BUNDLE forces every tick through
+    # the extract-and-merge path that the shortcut skips
+    step = IOJunction.step
+
+    def full_step(self, tick, ret, item):
+        return step(self, tick, Bundle() if ret is EMPTY_BUNDLE else ret, item)
+
+    for trial in range(2):
+        rng = random.Random(100 * p + trial)
+        s = max(12, 100 // p)
+        k = rng.choice([3, 4, 5])
+        items = mixed_items(rng, 400, 60) + drain_padding(p, s, k)
+        config = RingConfig(p=p, s=s, k=k, seed=trial, search_circuits=2, taps=True)
+        rings = []
+        for wrap in (False, True):
+            with monkeypatch.context() as mp:
+                if wrap:
+                    mp.setattr(IOJunction, "step", full_step)
+                ring = Ring(config)
+                try:
+                    ring.run_stream(items, drain=False)
+                except SystemFailed:
+                    pass  # a small ring may run out of storage; both must fail alike
+            rings.append(ring)
+        short, full = rings
+        assert (short.t, short.failed) == (full.t, full.failed), (p, trial)
+        assert short.transcript.events == full.transcript.events, (p, trial)
+        assert short.tap_edges == full.tap_edges, (p, trial)
+        assert short.tap_dump == full.tap_dump, (p, trial)
+
+
+def test_an_age_inside_the_settle_window_waits_on_a_quiet_tick():
+    # nothing returns on the AGE's tick, yet it must queue until the last
+    # deletion's recycled edges have had time to settle
+    ring = Ring(cfg(p=3, s=5))
+    for i in range(12):
+        ring.tick(Arrival(i, i + 1))
+    ring.tick(Age(TimestampThreshold(0)))
+    while ring.junction.mode == "aging":
+        ring.tick(IDLE)
+    hold = ring.junction.age_hold_until
+    assert ring.junction_return.is_empty() and ring.t < hold
+    ring.tick(Age(TimestampThreshold(6)))
+    assert ring.junction.mode == "normal" and len(ring.junction.pending) == 1
+    ring.drain()
+    assert [entry["started"] for entry in ring.aging_log] == [12, hold]
+    assert ring.violations == []
