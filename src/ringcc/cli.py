@@ -12,9 +12,11 @@ violations, which go to stderr too; when a run has both, stderr holds both
 and the status is 3. `--engine pipelined` (one thread per processor) drains
 and writes `--metrics` like the lockstep engine but refuses `--validate`
 with exit status 1: concurrent processors cannot run the auditor. Likewise
-`run` refuses, with exit status 1, `--reservoir` and `--auto-age-margin`
-when neither `--auto-age-c` nor an AUTOAGE line arms the automatic policy,
-and `experiment` refuses a flag its harness has no use for.
+`run` refuses, with exit status 1, `--reservoir`, `--auto-age-margin` and
+`--seed` (which seeds only the policy's samples) when neither
+`--auto-age-c` nor an AUTOAGE line arms the automatic policy; `gen` refuses
+`--u-target`, `--block` and `--scale` unless `--kind` is the one that reads
+the flag; and `experiment` refuses a flag its harness has no use for.
 """
 
 from __future__ import annotations
@@ -53,7 +55,9 @@ def _add_ring_options(sub):
                      default="lockstep")
     sub.add_argument("--validate", action="store_true",
                      help="audit invariants every tick")
-    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--seed", type=int,
+                     help="seed of the automatic aging policy's samples "
+                          f"(default {RingConfig.seed})")
     sub.add_argument("--metrics", metavar="CSV",
                      help="write per-tick storage metrics")
     sub.add_argument("--reservoir", type=int,
@@ -69,10 +73,10 @@ def _add_ring_options(sub):
 
 
 def _config_from(args):
-    reservoir, margin = args.reservoir, args.auto_age_margin
+    reservoir, margin, seed = args.reservoir, args.auto_age_margin, args.seed
     return RingConfig(
         p=args.processors, s=args.capacity, k=args.bundle,
-        validate=args.validate, seed=args.seed,
+        validate=args.validate, seed=RingConfig.seed if seed is None else seed,
         reservoir=RingConfig.reservoir if reservoir is None else reservoir,
         auto_age_c=args.auto_age_c,
         auto_age_margin=RingConfig.auto_age_margin if margin is None else margin,
@@ -92,7 +96,8 @@ def cmd_run(args):
     if args.auto_age_c is None and not any(type(it) is AutoAge for it in items):
         # the policy's tuning flags are refused rather than ignored
         refused = [flag for flag, value in (("--reservoir", args.reservoir),
-                                            ("--auto-age-margin", args.auto_age_margin))
+                                            ("--auto-age-margin", args.auto_age_margin),
+                                            ("--seed", args.seed))
                    if value is not None]
         if refused:
             print(f"run does not use {', '.join(refused)} unless --auto-age-c "
@@ -126,13 +131,25 @@ def cmd_run(args):
     return status
 
 
+# the one stream kind that reads each generator flag; any other refuses it
+GEN_FLAG_KIND = {"--u-target": "uniform", "--block": "repeat", "--scale": "rmat"}
+
+
 def cmd_gen(args):
+    refused = [flag for flag, kind in GEN_FLAG_KIND.items()
+               if kind != args.kind and getattr(args, flag[2:].replace("-", "_")) is not None]
+    if refused:
+        print(f"gen --kind {args.kind} does not use {', '.join(refused)}", file=sys.stderr)
+        return 1
     if args.kind == "uniform":
-        edges = gen_uniform(args.count, args.u_target, args.seed)
+        u_target = 0.67 if args.u_target is None else args.u_target
+        edges = gen_uniform(args.count, u_target, args.seed)
     elif args.kind == "repeat":
-        edges = gen_repeat_block(args.count, args.block, args.seed)
+        block = 100 if args.block is None else args.block
+        edges = gen_repeat_block(args.count, block, args.seed)
     else:
-        edges = gen_rmat(args.count, args.scale, seed=args.seed)
+        scale = 12 if args.scale is None else args.scale
+        edges = gen_rmat(args.count, scale, seed=args.seed)
     items = [Arrival(u, v) for u, v in edges]
     text = render_items(items)
     if args.output == "-":
@@ -217,12 +234,13 @@ def build_parser():
     gen_p.add_argument("--kind", choices=("uniform", "repeat", "rmat"),
                        default="uniform")
     gen_p.add_argument("--count", "-n", type=int, default=10000)
-    gen_p.add_argument("--u-target", type=float, default=0.67,
-                       help="unique fraction for the uniform kind")
-    gen_p.add_argument("--block", type=int, default=100,
-                       help="contiguous observations per edge (repeat kind)")
-    gen_p.add_argument("--scale", type=int, default=12,
-                       help="log2 vertex count (rmat kind)")
+    gen_p.add_argument("--u-target", type=float,
+                       help="unique fraction for the uniform kind (default 0.67)")
+    gen_p.add_argument("--block", type=int,
+                       help="contiguous observations per edge for the repeat "
+                            "kind (default 100)")
+    gen_p.add_argument("--scale", type=int,
+                       help="log2 vertex count for the rmat kind (default 12)")
     gen_p.add_argument("--seed", type=int, default=0)
     gen_p.add_argument("--output", "-o", default="-")
     gen_p.set_defaults(fn=cmd_gen)

@@ -22,6 +22,13 @@ slot by slot what the general path would:
 - a connectivity query relabels both endpoints and is answered once they
   meet; a count query adds the stored count.
 
+An aging processor that is not the loader (the tail included) takes the
+same hop for a bundle of payload edges with an empty primary slot, when
+nothing is queued and no builder token arrives. The loader has not reached
+it, so it stores no payload edge: a duplicate is absorbed as above, every
+other edge rides on in its slot whatever its labels, and then k-1 of its own
+untested edges are tested, as on the general path.
+
 Every other bundle takes the general path, which stays the reference.
 """
 
@@ -179,8 +186,8 @@ class Processor:
     # ------------------------------------------------------------------ tick
 
     def process_bundle(self, b):
-        if not (self.is_builder or self.aging or self.is_tail or self.outq
-                or b.builder_token):
+        if (self.aging or not self.is_tail) and not (
+                self.is_builder or self.outq or b.builder_token):
             out = self._transit(b)
             if out is not None:
                 return out
@@ -212,23 +219,45 @@ class Processor:
         return pk.bundle()
 
     def _transit(self, b):
-        """The general path, slot by slot, for a processor with no work of
-        its own: not the builder, not aging, not the tail, nothing queued
-        and no builder token arriving. Returns None, leaving the bundle to
-        the general path, when a slot holds anything but an edge, or a
-        connectivity or count query in the primary slot."""
+        """The general path, slot by slot, for a processor that is not the
+        builder, has nothing queued and gets no builder token, and that is
+        either aging or not the tail. Outside a deletion it returns None,
+        leaving the bundle to the general path, when a slot holds anything
+        but an edge, or a connectivity or count query in the primary slot.
+        While aging it relays payload edges and then tests its own, and
+        returns None for the loader, a sealed processor, an occupied primary
+        slot or a payload item that is not an edge."""
         prim = b.primary
         payload = b.payload
-        tp = type(prim)
-        if not (prim is None or tp is LabeledEdge or tp is ConnQuery or tp is CountQuery):
-            return None
         for e in payload:
             if type(e) is not LabeledEdge:
                 return None
+        if self.aging:
+            # the head is the loader for as long as it ages, so this is a
+            # processor downstream of the loader, where _aging_phase tests
+            if prim is not None or self.is_loader or self.sealed:
+                return None
+            dup = self.dup
+            fwd = []
+            for e in payload:
+                rec = dup.get(e.ck)
+                if rec is None:
+                    fwd.append(e)
+                elif e.t > rec.t:
+                    rec.t = e.t
+            if self.untested:
+                self._downstream_testing()
+            if not fwd:
+                return EMPTY_BUNDLE
+            if len(fwd) == len(payload):
+                return b
+            return Bundle(None, fwd)
+        tp = type(prim)
+        if not (prim is None or tp is LabeledEdge or tp is ConnQuery or tp is CountQuery):
+            return None
         dup = self.dup
         lc = self.lc
         sealed = self.sealed
-        s = self.s
         changed = False
         if tp is LabeledEdge:
             rec = dup.get(prim.ck)
@@ -241,7 +270,7 @@ class Processor:
                 if prim.lu != prim.lv:
                     prim.lu = lc.relabel(prim.lu)
                     prim.lv = lc.relabel(prim.lv)
-            elif prim.lu == prim.lv and self.stored < s:
+            elif prim.lu == prim.lv and self.stored < self.s:
                 self._accept(prim, NONTREE)
                 prim = None
                 changed = True
@@ -265,7 +294,7 @@ class Processor:
                     e.lu = lc.relabel(e.lu)
                     e.lv = lc.relabel(e.lv)
                 fwd.append(e)
-            elif e.lu == e.lv and self.stored < s:
+            elif e.lu == e.lv and self.stored < self.s:
                 self._accept(e, NONTREE)
                 changed = True
             else:

@@ -4,7 +4,9 @@ import json
 import pytest
 
 from ringcc.cli import _config_from, build_parser, main
+from ringcc.model import Arrival
 from ringcc.ring import Ring, RingConfig, Violation
+from ringcc.streams import gen_repeat_block, gen_rmat, gen_uniform, render_items
 
 
 def write(tmp_path, name, text):
@@ -136,7 +138,8 @@ def test_experiment_refuses_flags_it_would_ignore(argv, flag, capsys):
 
 @pytest.mark.parametrize("flags", [["--reservoir", "50"],
                                    ["--auto-age-margin", "2"],
-                                   ["--reservoir", "50", "--auto-age-margin", "2"]])
+                                   ["--reservoir", "50", "--auto-age-margin", "2"],
+                                   ["--seed", "3"]])
 def test_run_refuses_policy_flags_nothing_arms(tmp_path, capsys, flags):
     stream = write(tmp_path, "s.txt", "E 1 2\nQ 1 2\n")
     rc = main(["run", stream, "-p", "2", "-s", "50", "-k", "3"] + flags)
@@ -149,6 +152,49 @@ def test_unset_policy_flags_take_the_config_defaults():
     config = _config_from(build_parser().parse_args(["run", "s.txt"]))
     assert (config.reservoir, config.auto_age_margin) == (
         RingConfig.reservoir, RingConfig.auto_age_margin) == (100, 1.25)
+
+
+def test_unset_seed_takes_the_config_default():
+    config = _config_from(build_parser().parse_args(["run", "s.txt"]))
+    assert config.seed == RingConfig.seed == 0
+
+
+def test_run_accepts_seed_when_the_policy_is_armed(tmp_path, capsys):
+    stream = write(tmp_path, "s.txt", "AUTOAGE 0.5\nE 1 2\nQ 1 2\n")
+    rc = main(["run", stream, "-p", "2", "-s", "50", "-k", "3", "--seed", "3"])
+    assert rc == 0
+    assert "OUT q0 true" in capsys.readouterr().out
+    args = build_parser().parse_args(["run", stream, "--auto-age-c", "0.5", "--seed", "3"])
+    assert _config_from(args).seed == 3
+
+
+@pytest.mark.parametrize("kind, flag, value", [
+    ("repeat", "--u-target", "0.5"),
+    ("rmat", "--u-target", "0.5"),
+    ("uniform", "--block", "10"),
+    ("rmat", "--block", "10"),
+    ("uniform", "--scale", "5"),
+    ("repeat", "--scale", "5"),
+])
+def test_gen_refuses_flags_its_kind_would_ignore(kind, flag, value, capsys):
+    rc = main(["gen", "--kind", kind, "-n", "10", flag, value])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert flag in err and out == ""
+
+
+@pytest.mark.parametrize("kind, flags, edges", [
+    ("uniform", [], gen_uniform(300, 0.67, 4)),
+    ("uniform", ["--u-target", "0.5"], gen_uniform(300, 0.5, 4)),
+    ("repeat", [], gen_repeat_block(300, 100, 4)),
+    ("repeat", ["--block", "7"], gen_repeat_block(300, 7, 4)),
+    ("rmat", [], gen_rmat(300, 12, seed=4)),
+    ("rmat", ["--scale", "6"], gen_rmat(300, 6, seed=4)),
+])
+def test_gen_writes_the_stream_of_its_kind(kind, flags, edges, capsys):
+    rc = main(["gen", "--kind", kind, "-n", "300", "--seed", "4"] + flags)
+    assert rc == 0
+    assert capsys.readouterr().out == render_items([Arrival(u, v) for u, v in edges])
 
 
 def test_run_accepts_policy_flags_with_auto_age_c(tmp_path, capsys):

@@ -294,3 +294,91 @@ def test_probes_and_tokens_take_the_general_path():
     # the builder token never reaches the transit hop: it makes a builder
     proc.process_bundle(Bundle(LabeledEdge(7, 8), [], builder_token=True))
     assert proc.is_builder
+
+
+def aging_processor(index=1, k=5, threshold=0, count=5):
+    """Processor `index` of a three-position ring, aging behind the loader:
+    `count` untested pairs (1, 2), (3, 4), ... stored at timestamp 10, kept
+    by the deletion when their timestamp is at least `threshold`."""
+    proc = Ring(cfg(p=3, s=8, k=k)).processors[index]
+    for u in range(1, 2 * count, 2):
+        proc._accept(LabeledEdge(u, u + 1, t=10), NONTREE)
+    proc.begin_aging(TimestampThreshold(threshold))
+    assert proc.aging and not (proc.is_loader or proc.is_builder or proc.sealed)
+    return proc
+
+
+def through_hop(monkeypatch, proc, b):
+    """The output of `proc` for `b`, and whether the transit hop made it."""
+    transit = Processor._transit
+    made = []
+
+    def spy(self, bundle):
+        out = transit(self, bundle)
+        made.append(out is not None)
+        return out
+
+    monkeypatch.setattr(Processor, "_transit", spy)
+    out = proc.process_bundle(b)
+    monkeypatch.undo()
+    return out, made == [True]
+
+
+@pytest.mark.parametrize("index", [1, 2])  # the tail relays like any other
+def test_aging_relay_absorbs_duplicates_and_forwards_the_rest(monkeypatch, index):
+    proc = aging_processor(index)
+    unresolved = LabeledEdge(11, 12, t=30)
+    resolved = LabeledEdge(13, 14, lu=0, lv=0, t=30)  # would settle outside aging
+    b = Bundle(None, [LabeledEdge(2, 1, t=20), unresolved, LabeledEdge(4, 3, t=5), resolved])
+    out, hop = through_hop(monkeypatch, proc, b)
+    assert hop
+    assert out.primary is None and list(out.payload) == [unresolved, resolved]
+    assert (unresolved.lu, unresolved.lv, resolved.lu, resolved.lv) == (11, 12, 0, 0)
+    # the newer timestamp wins; an older copy never lowers it
+    assert {key: e.t for key, e in proc.dup.items()} == {
+        (1, 2): 20, (3, 4): 10, (5, 6): 10, (7, 8): 10, (9, 10): 10}
+    assert proc.stored == 5 and proc.nontree == [] and not proc.outq
+
+
+def test_aging_relay_returns_the_bundle_itself_or_the_empty_bundle(monkeypatch):
+    proc = aging_processor()
+    bundle = Bundle(None, [LabeledEdge(11, 12), LabeledEdge(13, 13)])
+    out, hop = through_hop(monkeypatch, proc, bundle)
+    assert hop and out is bundle
+    out, hop = through_hop(monkeypatch, proc, Bundle(None, [LabeledEdge(2, 1, t=20),
+                                                            LabeledEdge(9, 10)]))
+    assert hop and out is EMPTY_BUNDLE
+    out, hop = through_hop(monkeypatch, proc, EMPTY_BUNDLE)
+    assert hop and out is EMPTY_BUNDLE
+
+
+def test_aging_relay_tests_its_own_edges_after_the_payload(monkeypatch):
+    # k-1 = 3 of the five stored edges are tested per call; the duplicate
+    # refreshes the first of them before its test, so it survives
+    proc = aging_processor(k=4, threshold=15)
+    out, hop = through_hop(monkeypatch, proc, Bundle(None, [LabeledEdge(2, 1, t=20)]))
+    assert hop and out is EMPTY_BUNDLE
+    assert [e.key() for e in proc.unresolved] == [(1, 2)]
+    assert [e.key() for e in proc.untested] == [(7, 8), (9, 10)]
+    assert proc.deletions == 2 and proc.stored == 3
+    out, hop = through_hop(monkeypatch, proc, EMPTY_BUNDLE)
+    assert hop and out is EMPTY_BUNDLE
+    assert not proc.untested and proc.deletions == 4
+    assert proc.dup.keys() == {(1, 2)} and proc.aging
+
+
+@pytest.mark.parametrize("prepare, b", [
+    (lambda proc: setattr(proc, "is_loader", True), Bundle(None, [LabeledEdge(11, 12)])),
+    (lambda proc: setattr(proc, "sealed", True), Bundle(None, [LabeledEdge(11, 12)])),
+    (lambda proc: proc.outq.append(StatsProbe(1)), Bundle(None, [LabeledEdge(11, 12)])),
+    (None, Bundle(LabeledEdge(11, 12), [LabeledEdge(13, 14)])),
+    (None, Bundle(None, [LabeledEdge(11, 12)], builder_token=True)),
+    (None, Bundle(None, [LabeledEdge(11, 12), StatsProbe(1)])),
+    (None, Bundle(None, [LabeledEdge(11, 12), LOADER_TOKEN])),
+], ids=["loader", "sealed", "outq", "primary-edge", "builder-token",
+        "probe-payload", "loader-token-payload"])
+def test_aging_relay_declines_other_bundles(monkeypatch, prepare, b):
+    proc = aging_processor()
+    if prepare is not None:
+        prepare(proc)
+    assert not through_hop(monkeypatch, proc, b)[1]

@@ -5,11 +5,14 @@ queued and gets no builder token. `Processor.process_bundle` hands it any
 bundle of edges, behind an optional connectivity or count query, and
 `Processor._transit` does slot by slot what the general path would: absorb
 duplicates, relabel at a sealed processor, settle equal-label edges while
-space lasts, update the query, and forward the rest in its slot. The general
-path is the reference: with the hop declined, every stream must give the
-same transcript, taps, stores and deletion log. The hops are counted by
-kind (sealed relabel, settle, constant query, full relay) so that each kind
-is known to be exercised.
+space lasts, update the query, and forward the rest in its slot. An aging
+processor that is not the loader, the tail included, takes the same hop for
+a bundle of payload edges: it absorbs duplicates, forwards every other edge,
+and then tests k-1 of its own edges. The general path is the reference: with
+the hop declined, every stream must give the same transcript, taps, stores
+and deletion log. The hops are counted by kind (sealed relabel, settle,
+constant query, full relay, aging relay) so that each kind is known to be
+exercised.
 """
 
 import random
@@ -36,6 +39,8 @@ def run(cfg, items):
 
 def hop_kind(proc, b):
     """Which transit hop a non-empty bundle at `proc` would take."""
+    if proc.aging:
+        return "aging"
     if type(b.primary) in (ConnQuery, CountQuery):
         return "query"
     if proc.sealed:
@@ -87,7 +92,7 @@ def test_transit_matches_general_path(monkeypatch):
             assert sum(type(it) is Arrival for it in items) >= 3 * p * s
             hops += run_both(monkeypatch, dict(p=p, s=s, k=k, seed=p, search_circuits=2),
                              items)[1]
-    for kind in ("sealed", "settle", "query", "relay"):
+    for kind in ("sealed", "settle", "query", "relay", "aging"):
         assert hops[kind] >= 500, hops
 
 
