@@ -17,6 +17,9 @@ with exit status 1: concurrent processors cannot run the auditor. Likewise
 `--auto-age-c` nor an AUTOAGE line arms the automatic policy; `gen` refuses
 `--u-target`, `--block` and `--scale` unless `--kind` is the one that reads
 the flag; and `experiment` refuses a flag its harness has no use for.
+`run` and `experiment` print a parameter that `RingConfig` or the sizing
+formulas refuse, such as a survivor fraction outside (0, 1), and exit with
+status 1.
 """
 
 from __future__ import annotations
@@ -104,7 +107,12 @@ def cmd_run(args):
                   "or an AUTOAGE line arms the automatic aging policy",
                   file=sys.stderr)
             return 1
-    ring = (ThreadedRing if args.engine == "pipelined" else Ring)(_config_from(args))
+    try:
+        config = _config_from(args)
+    except ValueError as exc:
+        print(f"run: {exc}", file=sys.stderr)
+        return 1
+    ring = (ThreadedRing if args.engine == "pipelined" else Ring)(config)
     failure = None
     try:
         ring.run_stream(items)
@@ -194,27 +202,32 @@ def cmd_experiment(args):
     k = 5 if args.bundle is None else args.bundle
     survivor = args.survivor or [0.5]
     u = args.u
-    if which == 1:
-        report = run_experiment_1(kind=args.kind or "uniform", n=n,
-                                  p=args.processors, s=args.capacity,
-                                  k=k, seed=args.seed,
-                                  u_target=0.67 if u is None else u)
-    elif which == 2:
-        report = {"cells": []}
-        for c in survivor:
-            for d in args.downtime or [0.5]:
-                cell = run_experiment_2(c=c, downtime_budget=d,
-                                        u=1.0 if u is None else u,
-                                        p=args.processors, s=args.capacity,
-                                        k=args.bundle, seed=args.seed,
-                                        validate=args.validate)
-                report["cells"].append(cell)
-    else:
-        report = run_experiment_3(n=n, target_c=survivor[0],
-                                  p=args.processors, s=args.capacity,
-                                  k=k, seed=args.seed,
-                                  validate=args.validate,
-                                  u_target=1.0 if u is None else u)
+    try:
+        if which == 1:
+            report = run_experiment_1(kind=args.kind or "uniform", n=n,
+                                      p=args.processors, s=args.capacity,
+                                      k=k, seed=args.seed,
+                                      u_target=0.67 if u is None else u)
+        elif which == 2:
+            report = {"cells": []}
+            for c in survivor:
+                for d in args.downtime or [0.5]:
+                    cell = run_experiment_2(c=c, downtime_budget=d,
+                                            u=1.0 if u is None else u,
+                                            p=args.processors, s=args.capacity,
+                                            k=args.bundle, seed=args.seed,
+                                            validate=args.validate)
+                    report["cells"].append(cell)
+        else:
+            report = run_experiment_3(n=n, target_c=survivor[0],
+                                      p=args.processors, s=args.capacity,
+                                      k=k, seed=args.seed,
+                                      validate=args.validate,
+                                      u_target=1.0 if u is None else u)
+    except ValueError as exc:
+        # a ring or sizing parameter out of range
+        print(f"experiment {which}: {exc}", file=sys.stderr)
+        return 1
     json.dump(report, sys.stdout, indent=2, default=str)
     print()
     return 0

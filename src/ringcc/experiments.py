@@ -62,9 +62,10 @@ def run_experiment_2(c=0.5, downtime_budget=0.5, u=1.0, p=10, s=2000, seed=0,
     downtime_budget is the tolerable fraction of ticks without query service;
     the bound needs it in the denominator.
     """
+    # computed whatever k is given: it refuses c, d and u out of range
+    bound = min_bandwidth_expansion(c, downtime_budget, u, p)
     if k is None:
-        k = -(-min_bandwidth_expansion(c, downtime_budget, u, p) // 1)
-        k = max(2, int(k))
+        k = max(2, int(-(-bound // 1)))
     S = p * s
     need = required_free_space(c, S, p, k)
     # the lead-time lemma is the trigger point; "late" undershoots it badly

@@ -256,7 +256,8 @@ class Processor:
         if not (prim is None or tp is LabeledEdge or tp is ConnQuery or tp is CountQuery):
             return None
         dup = self.dup
-        lc = self.lc
+        # the union-find's block -> component map, read inline (see unionfind)
+        sets = self.lc.sets
         sealed = self.sealed
         changed = False
         if tp is LabeledEdge:
@@ -268,16 +269,26 @@ class Processor:
                 changed = True
             elif sealed:
                 if prim.lu != prim.lv:
-                    prim.lu = lc.relabel(prim.lu)
-                    prim.lv = lc.relabel(prim.lv)
+                    c = sets.get(prim.lu)
+                    if c is not None:
+                        prim.lu = c.name
+                    c = sets.get(prim.lv)
+                    if c is not None:
+                        prim.lv = c.name
             elif prim.lu == prim.lv and self.stored < self.s:
                 self._accept(prim, NONTREE)
                 prim = None
                 changed = True
         elif tp is ConnQuery:
-            if not prim.answer:
-                prim.lu = lc.relabel(prim.lu)
-                prim.lv = lc.relabel(prim.lv)
+            # an empty union-find, as downstream of the builder, relabels
+            # nothing, and whoever changed the labels last compared them
+            if sets and not prim.answer:
+                c = sets.get(prim.lu)
+                if c is not None:
+                    prim.lu = c.name
+                c = sets.get(prim.lv)
+                if c is not None:
+                    prim.lv = c.name
                 if prim.lu == prim.lv:
                     prim.answer = True
         elif tp is CountQuery:
@@ -291,8 +302,12 @@ class Processor:
                 changed = True
             elif sealed:
                 if e.lu != e.lv:
-                    e.lu = lc.relabel(e.lu)
-                    e.lv = lc.relabel(e.lv)
+                    c = sets.get(e.lu)
+                    if c is not None:
+                        e.lu = c.name
+                    c = sets.get(e.lv)
+                    if c is not None:
+                        e.lv = c.name
                 fwd.append(e)
             elif e.lu == e.lv and self.stored < self.s:
                 self._accept(e, NONTREE)
@@ -488,9 +503,13 @@ class Processor:
         """Relabel; False means the edge just revealed itself as non-tree.
         The builder stores it (this must succeed); a sealed processor passes
         it on for a downstream builder to resolve."""
-        lc = self.lc
-        e.lu = lc.relabel(e.lu)
-        e.lv = lc.relabel(e.lv)
+        sets = self.lc.sets
+        c = sets.get(e.lu)
+        if c is not None:
+            e.lu = c.name
+        c = sets.get(e.lv)
+        if c is not None:
+            e.lv = c.name
         if e.lu == e.lv:
             return False
         if self.is_builder:

@@ -112,6 +112,14 @@ class RingConfig:
             raise ValueError("per-processor capacity must be >= 1")
         if self.k < 2:
             raise ValueError("bundles need a primary and at least one payload slot")
+        if self.auto_age_c is not None and not 0 < self.auto_age_c < 1:
+            raise ValueError(f"auto_age_c={self.auto_age_c} must be in (0, 1)")
+        if not self.auto_age_margin > 0:
+            raise ValueError(f"auto_age_margin={self.auto_age_margin} must be > 0")
+        if self.reservoir < 1:
+            raise ValueError(f"reservoir={self.reservoir} must be >= 1")
+        if self.search_circuits < 1:
+            raise ValueError(f"search_circuits={self.search_circuits} must be >= 1")
 
     @property
     def total_capacity(self):
@@ -855,14 +863,6 @@ class Ring:
             if c > limit:
                 found.append(Violation(self.t, "copy-count", -1, f"{key} stored {c}x"))
         for pr in self.processors:
-            lc = pr.lc
-            prim = sum(1 for b in lc._order if lc._prim_vertex[b] is not None)
-            total = sum(lc._count.values())
-            if prim != total:
-                found.append(Violation(self.t, "count-conservation", pr.index,
-                                       f"component counts sum {total}, primitives {prim}"))
-            for b in lc._order:
-                if lc.find(b) not in lc.parent:
-                    found.append(Violation(self.t, "nesting", pr.index,
-                                           f"block {b} resolves outside this processor"))
+            for kind, detail in pr.lc.audit():
+                found.append(Violation(self.t, kind, pr.index, detail))
         return found

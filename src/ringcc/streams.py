@@ -69,7 +69,10 @@ def parse_stream_lines(lines):
             elif op == "AGE" and len(fields) == 2:
                 items.append(Age(TimestampThreshold(int(fields[1]))))
             elif op == "AUTOAGE" and len(fields) == 2:
-                items.append(AutoAge(float(fields[1])))
+                c = float(fields[1])
+                if not 0 < c < 1:
+                    raise ParseError(lineno, raw.rstrip("\n"), "AUTOAGE c must be in (0, 1)")
+                items.append(AutoAge(c))
             elif op == "." and len(fields) == 1:
                 items.append(IDLE)
             else:

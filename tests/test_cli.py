@@ -136,6 +136,42 @@ def test_experiment_refuses_flags_it_would_ignore(argv, flag, capsys):
     assert flag in err
 
 
+@pytest.mark.parametrize("flags, field", [
+    (["-k", "1"], "bundles need"),
+    (["--auto-age-c", "1.5"], "auto_age_c"),
+    (["--auto-age-c", "0.5", "--auto-age-margin", "-1"], "auto_age_margin"),
+    (["--auto-age-c", "0.5", "--reservoir", "0"], "reservoir"),
+])
+def test_run_refuses_config_values_out_of_range(tmp_path, capsys, flags, field):
+    stream = write(tmp_path, "s.txt", "E 1 2\nQ 1 2\n")
+    rc = main(["run", stream, "-p", "4", "-s", "40"] + flags)
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert field in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_run_refuses_an_autoage_line_outside_the_unit_interval(tmp_path, capsys):
+    stream = write(tmp_path, "s.txt", "E 1 2\nAUTOAGE 2.0\n")
+    rc = main(["run", stream, "-p", "4", "-s", "40"])
+    assert rc == 1
+    assert "line 2: AUTOAGE c must be in (0, 1)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["1", "-n", "100", "-k", "1"], "bundles need"),
+    (["2", "--survivor", "1.5"], "c=1.5"),
+    (["2", "-k", "3", "--survivor", "1.5"], "c=1.5"),
+    (["3", "-n", "100", "--survivor", "1.5"], "auto_age_c"),
+])
+def test_experiment_refuses_values_out_of_range(argv, field, capsys):
+    rc = main(["experiment"] + argv + ["-p", "2", "-s", "50"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert field in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("flags", [["--reservoir", "50"],
                                    ["--auto-age-margin", "2"],
                                    ["--reservoir", "50", "--auto-age-margin", "2"],

@@ -296,6 +296,51 @@ def test_audit_detects_unresolved_edges_upstream_of_the_loader():
         ("unresolved-upstream", 1, "3 unresolved before loader 2")]
 
 
+def full_audit(ring):
+    return [(v.kind, v.index, v.detail) for v in ring.audit_full()]
+
+
+def test_full_audit_detects_a_key_stored_twice():
+    ring = path_ring(4)
+    head, mid = ring.processors[:2]
+    assert full_audit(ring) == []
+    key = next(iter(head.dup))
+    mid.dup[key] = head.dup[key]
+    assert full_audit(ring) == [("copy-count", -1, f"{key} stored 2x")]
+
+
+def test_full_audit_detects_a_miscounted_component():
+    ring = path_ring(4)  # one component of five primitive vertices at the head
+    ring.processors[0].lc.sets[0].count += 1
+    assert full_audit(ring) == [
+        ("count-conservation", 0, "component counts sum 6, primitives 5")]
+
+
+def test_full_audit_detects_a_name_consumed_elsewhere():
+    ring = path_ring(4)
+    ring.processors[0].lc.sets[0].name = 99
+    assert full_audit(ring) == [
+        ("nesting", 0, f"block {b} resolves outside this processor") for b in range(5)]
+
+
+@pytest.mark.parametrize("field, value", [
+    ("auto_age_c", 1.5), ("auto_age_c", 1.0), ("auto_age_c", 0.0),
+    ("auto_age_c", -0.2), ("auto_age_c", float("nan")),
+    ("auto_age_margin", -1.0), ("auto_age_margin", 0.0),
+    ("auto_age_margin", float("nan")),
+    ("reservoir", 0), ("search_circuits", 0),
+])
+def test_config_refuses_policy_values_out_of_range(field, value):
+    with pytest.raises(ValueError, match=field):
+        RingConfig(p=4, s=400, **{field: value})
+
+
+def test_config_accepts_policy_values_in_range():
+    config = RingConfig(p=4, s=400, auto_age_c=0.99, auto_age_margin=0.5,
+                        reservoir=1, search_circuits=1)
+    assert config.auto_age_c == 0.99
+
+
 @pytest.mark.parametrize("p", [1, 5, 10])
 def test_junction_shortcut_matches_the_full_step(p, monkeypatch):
     # a fresh empty bundle in place of EMPTY_BUNDLE forces every tick through

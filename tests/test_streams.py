@@ -46,6 +46,13 @@ def test_parse_errors_carry_line_numbers():
     assert exc.value.lineno == 1
 
 
+@pytest.mark.parametrize("c", ["2.0", "1", "0", "-0.5", "nan"])
+def test_parse_refuses_autoage_outside_the_open_unit_interval(c):
+    with pytest.raises(ParseError, match="AUTOAGE c must be in") as exc:
+        parse_stream_lines(["E 1 2", f"AUTOAGE {c}"])
+    assert exc.value.lineno == 2
+
+
 def test_round_trip():
     lines = ["E 1 2", "Q 3 4", "COUNT", "MAX", "SMALL 7", "TREE", "DUMP",
              "AGE 12", "AUTOAGE 0.25", "."]

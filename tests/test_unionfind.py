@@ -1,6 +1,8 @@
+import math
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from ringcc.multipass import partition, static_cc
 from ringcc.unionfind import CapacityExhausted, LocalComponents
@@ -113,7 +115,7 @@ def test_min_naming_representative_is_member_minimum():
         lc.union(lu, lv, bx_vertex=u if lu == u else None,
                  by_vertex=v if lv == v else None)
     roots = {}
-    for b in list(lc.parent):
+    for b in list(lc.sets):
         roots.setdefault(lc.find(b), set()).add(b)
     for rep, blocks in roots.items():
         assert rep in blocks
@@ -146,3 +148,145 @@ def test_relationships_skip_representatives():
     assert dict(rel) == {"f": "e", "g": "e", "h": "b", "k": "j"}
     # one burial pair per union performed
     assert len(rel) == lc.unions_used
+
+
+# -- against an explicit set partition ---------------------------------------
+
+class Partition:
+    """The brute-force reference: a list of member sets, the blocks in
+    consumption order and the vertex of each block consumed primitive."""
+
+    def __init__(self):
+        self.parts = []
+        self.order = []
+        self.prim = {}
+
+    def part(self, b):
+        return next((p for p in self.parts if b in p), None)
+
+    def name(self, b):
+        p = self.part(b)
+        return b if p is None else min(p)
+
+    def union(self, bx, by, vx, vy):
+        for b, v in ((bx, vx), (by, vy)):
+            if self.part(b) is None:
+                self.parts.append({b})
+                self.order.append(b)
+                if v is not None:
+                    self.prim[b] = v
+        px, py = self.part(bx), self.part(by)
+        self.parts.remove(py)
+        px |= py
+        return min(px)
+
+    def components(self):
+        out = []
+        for b in self.order:
+            p = self.part(b)
+            if all(p is not q for q, _ in out):
+                out.append((p, sum(1 for m in p if m in self.prim)))
+        return [(min(p), n) for p, n in out]
+
+
+def assert_same(lc, ref, pool):
+    for b in pool:
+        assert lc.relabel(b) == lc.find(b) == ref.name(b)
+        assert lc.consumed(b) == (ref.part(b) is not None)
+        assert lc.arrived_primitive(b) == (b in ref.prim)
+    assert lc.unions_used == len(ref.order) - len(ref.parts)
+    assert lc.relationships() == [(b, ref.name(b)) for b in ref.order
+                                  if ref.name(b) != b]
+    assert lc.components() == ref.components()
+    assert lc.member_vertices() == [(b, ref.prim[b], ref.name(b))
+                                    for b in ref.order if b in ref.prim]
+
+
+BLOCK_POOLS = [list(range(12)), [f"b{i:02d}" for i in range(12)]]
+
+
+def replay(lc, ref, ops, pool):
+    for i, j, prim_x, prim_y in ops:
+        bx, by = ref.name(pool[i]), ref.name(pool[j])
+        # a vertex given for a block already consumed is ignored
+        vx = bx if prim_x else None
+        vy = by if prim_y else None
+        if not lc.has_capacity():
+            with pytest.raises(CapacityExhausted):
+                lc.union(bx, by, vx, vy)
+        elif bx == by:
+            with pytest.raises(ValueError):
+                lc.union(bx, by, vx, vy)
+        else:
+            assert lc.union(bx, by, vx, vy) == ref.union(bx, by, vx, vy)
+        assert_same(lc, ref, pool)
+
+
+@given(pool=st.sampled_from(BLOCK_POOLS),
+       capacity=st.integers(1, 12),
+       ops=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11),
+                              st.booleans(), st.booleans()), max_size=30))
+def test_matches_an_explicit_partition(pool, capacity, ops):
+    lc = LocalComponents(capacity)
+    replay(lc, Partition(), ops, pool)
+    lc.reset()
+    assert_same(lc, Partition(), pool)
+    replay(lc, Partition(), ops, pool)
+
+
+# -- union by size ----------------------------------------------------------
+
+class CountingSets(dict):
+    """A block -> component map that counts rebinds of blocks already in it."""
+
+    relinks = 0
+
+    def __setitem__(self, b, c):
+        if b in self:
+            self.relinks += 1
+        super().__setitem__(b, c)
+
+
+def descending_chain(n):
+    # each block joins the set of the block above it, so the set's smallest
+    # member, its name, changes at every union
+    return [(b, b + 1) for b in range(n - 2, -1, -1)]
+
+
+def descending_pairs(n):
+    # a fresh pair, then the pair merges into the set of every block above
+    # it: the pair's name wins while the large set stays put
+    ops = []
+    for b in range(n - 2, -1, -2):
+        ops.append((b, b + 1))
+        if b + 2 < n:
+            ops.append((b, b + 2))
+    return ops
+
+
+def balanced(n):
+    # equal sizes at every merge: the most relinks union by size allows
+    ops = []
+    size = 1
+    while size < n:
+        ops.extend((b, b + size) for b in range(0, n, 2 * size))
+        size *= 2
+    return ops
+
+
+@pytest.mark.parametrize("shape", [descending_chain, descending_pairs, balanced])
+def test_union_by_size_bounds_the_relinks(shape):
+    n = 4096
+    lc = LocalComponents(n)
+    lc.sets = sets = CountingSets()
+    ops = shape(n)
+    for bx, by in ops:
+        # every block is consumed primitive, so its vertex is the block itself
+        lc.union(lc.relabel(bx), lc.relabel(by),
+                 bx if not lc.consumed(bx) else None,
+                 by if not lc.consumed(by) else None)
+    assert len(ops) == n - 1
+    assert len(sets) == n
+    assert lc.components() == [(0, n)]
+    assert all(lc.relabel(b) == 0 for b in range(n))
+    assert sets.relinks <= n * math.log2(n)
