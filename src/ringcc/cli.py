@@ -119,9 +119,8 @@ def cmd_run(args):
     except SystemFailed as exc:
         failure = exc
     if not args.quiet:
-        for line in ring.transcript.lines():
-            if " IN " not in line:
-                print(line)
+        for line in ring.transcript.lines(inputs=False):
+            print(line)
     if args.metrics:
         with open(args.metrics, "w", newline="") as fh:
             writer = csv.writer(fh)

@@ -229,6 +229,8 @@ class AutoAge:
     __slots__ = ("target_c",)
 
     def __init__(self, target_c):
+        if not 0 < target_c < 1:
+            raise ValueError(f"AutoAge target_c={target_c} must be in (0, 1)")
         self.target_c = target_c
 
     def render(self):

@@ -28,6 +28,7 @@ before it returns.
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from typing import Optional
@@ -35,6 +36,7 @@ from typing import Optional
 from .aging import StatsProbe, SurvivorProbe, TimestampThreshold
 from .model import (
     EMPTY_BUNDLE,
+    IDLE,
     Age,
     AgeRequest,
     AgingToken,
@@ -126,36 +128,93 @@ class RingConfig:
         return self.p * self.s
 
 
+class _Rendered:
+    """An IN record whose text was fixed at its tick."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text):
+        self.text = text
+
+    def render(self):
+        return self.text
+
+
+DEFERRED = _Rendered("(deferred)")
+# stream items an IN record keeps by reference; any other object is rendered
+# at its own tick, so one that cannot render fails there
+_VALUE_ITEMS = frozenset((Arrival, Connectivity, EdgeCount, MaxComponent,
+                          SmallComponents, SpanningTree, DumpLabels, Age, AutoAge))
+_CHUNK = 4096  # lines `text` renders and joins at a time
+
+
 class Transcript:
-    """Chronological record of everything that crossed the I/O boundary."""
+    """Chronological record of everything that crossed the I/O boundary.
+
+    Each record is one tick in an `array('q')` and one reference. An IN
+    record keeps the submitted stream item itself and renders it only when
+    the transcript is read, so a caller must not change an item after
+    submitting it. An OUT record keeps `(qid, tag, *args)`, an EVT record its
+    text.
+    """
 
     def __init__(self):
-        self.events = []
+        self._ticks = array("q")
+        self._records = []
 
-    def record_in(self, tick, text):
-        self.events.append(("IN", tick, text))
+    def record_in(self, tick, item):
+        """`item` is anything with a `render()`: a stream item, `IDLE` or
+        `DEFERRED`."""
+        self._ticks.append(tick)
+        self._records.append(item)
 
     def record_out(self, tick, qid, tag, *args):
-        self.events.append(("OUT", tick, qid, tag) + args)
+        self._ticks.append(tick)
+        self._records.append((qid, tag) + args)
 
     def record_evt(self, tick, text):
-        self.events.append(("EVT", tick, text))
+        self._ticks.append(tick)
+        self._records.append(text)
 
-    def outputs(self, tag=None):
-        out = [e for e in self.events if e[0] == "OUT"]
-        if tag is not None:
-            out = [e for e in out if e[3] == tag]
+    @property
+    def events(self):
+        """Every record as a tuple, built on each read: `("IN", tick, text)`,
+        `("OUT", tick, qid, tag, *args)` or `("EVT", tick, text)`."""
+        out = []
+        for tick, r in zip(self._ticks, self._records):
+            kind = type(r)
+            if kind is tuple:
+                out.append(("OUT", tick) + r)
+            elif kind is str:
+                out.append(("EVT", tick, r))
+            else:
+                out.append(("IN", tick, r.render()))
         return out
 
-    def lines(self):
-        rendered = []
-        for e in self.events:
-            if e[0] == "IN":
-                rendered.append(f"{e[1]} IN {e[2]}")
-            elif e[0] == "EVT":
-                rendered.append(f"{e[1]} EVT {e[2]}")
+    def outputs(self, tag=None):
+        return [("OUT", tick) + r for tick, r in zip(self._ticks, self._records)
+                if type(r) is tuple and (tag is None or r[1] == tag)]
+
+    def lines(self, inputs=True):
+        """One rendered line per record; `inputs=False` leaves out the IN
+        records without rendering them."""
+        return list(self._render(0, len(self._records), inputs))
+
+    def text(self):
+        chunks = ["\n".join(self._render(lo, lo + _CHUNK)) + "\n"
+                  for lo in range(0, len(self._records), _CHUNK)]
+        return "".join(chunks) or "\n"
+
+    def _render(self, lo, hi, inputs=True):
+        for tick, r in zip(self._ticks[lo:hi], self._records[lo:hi]):
+            kind = type(r)
+            if kind is str:
+                yield f"{tick} EVT {r}"
+            elif kind is not tuple:
+                if inputs:
+                    yield f"{tick} IN {r.render()}"
             else:
-                _, tick, qid, tag, *args = e
+                qid, tag, *args = r
                 if tag == "answer":
                     body = "true" if args[0] else "false"
                 elif tag in ("count", "max"):
@@ -168,11 +227,7 @@ class Transcript:
                     body = f"label {args[0]} {args[1]}"
                 else:
                     body = tag if not args else f"{tag} {' '.join(map(str, args))}"
-                rendered.append(f"{tick} OUT q{qid} {body}")
-        return rendered
-
-    def text(self):
-        return "\n".join(self.lines()) + "\n"
+                yield f"{tick} OUT q{qid} {body}"
 
 
 class RingHooks:
@@ -351,7 +406,7 @@ class IOJunction:
             pending.append(item)
         if primary_override is not None:
             if self.config.record_inputs:
-                self.transcript.record_in(tick, "(deferred)")
+                self.transcript.record_in(tick, DEFERRED)
             primary = primary_override
         else:
             primary = self._admit(tick, self._next_item(tick))
@@ -389,11 +444,11 @@ class IOJunction:
         ts = self.transcript
         if item is None or type(item) is Idle:
             if self.config.record_inputs:
-                ts.record_in(tick, ".")
+                ts.record_in(tick, IDLE)
             return None
-        if self.config.record_inputs:
-            ts.record_in(tick, item.render())
         t = type(item)
+        if self.config.record_inputs:
+            ts.record_in(tick, item if t in _VALUE_ITEMS else _Rendered(item.render()))
         if t is Arrival:
             return LabeledEdge(item.u, item.v, t=tick)
         if t in (Connectivity, EdgeCount, MaxComponent, SmallComponents,

@@ -3,10 +3,11 @@ import random
 import pytest
 
 from ringcc.model import (
-    EMPTY_BUNDLE, Age, Arrival, Bundle, Connectivity, EdgeCount, IDLE, LabeledEdge)
+    EMPTY_BUNDLE, Age, Arrival, AutoAge, Bundle, Connectivity, EdgeCount, IDLE, LabeledEdge)
 from ringcc.aging import TimestampThreshold
 from ringcc.multipass import static_cc
 from ringcc.ring import IOJunction, Ring, RingConfig, SystemFailed
+from ringcc.streams import gen_uniform
 
 from test_idle_skip import drain_padding, mixed_items
 
@@ -333,6 +334,14 @@ def test_full_audit_detects_a_name_consumed_elsewhere():
 def test_config_refuses_policy_values_out_of_range(field, value):
     with pytest.raises(ValueError, match=field):
         RingConfig(p=4, s=400, **{field: value})
+
+
+@pytest.mark.parametrize("c", [2.0, 1.0, 0.0, -0.2, float("nan")])
+def test_autoage_item_refuses_c_outside_the_open_unit_interval(c):
+    # an unchecked AutoAge(2.0) armed the policy and exhausted storage
+    arrivals = [Arrival(u, v) for u, v in gen_uniform(4000, 1.0, seed=0)]
+    with pytest.raises(ValueError, match="target_c"):
+        Ring(RingConfig(p=4, s=400)).run_stream([AutoAge(c)] + arrivals)
 
 
 def test_config_accepts_policy_values_in_range():
