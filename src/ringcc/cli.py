@@ -38,9 +38,8 @@ from .streams import (
     ParseError,
     gen_repeat_block,
     gen_rmat,
-    gen_uniform,
+    iter_uniform,
     parse_stream_file,
-    render_items,
 )
 
 METRICS_HEADER = ["tick", "mode", "stored_total", "tree_total", "nontree_total",
@@ -150,20 +149,20 @@ def cmd_gen(args):
         return 1
     if args.kind == "uniform":
         u_target = 0.67 if args.u_target is None else args.u_target
-        edges = gen_uniform(args.count, u_target, args.seed)
+        edges = iter_uniform(args.count, u_target, args.seed)
     elif args.kind == "repeat":
         block = 100 if args.block is None else args.block
         edges = gen_repeat_block(args.count, block, args.seed)
     else:
         scale = 12 if args.scale is None else args.scale
         edges = gen_rmat(args.count, scale, seed=args.seed)
-    items = [Arrival(u, v) for u, v in edges]
-    text = render_items(items)
+    # each line is written as it is drawn
+    lines = (Arrival(u, v).render() + "\n" for u, v in edges)
     if args.output == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
     else:
         with open(args.output, "w") as fh:
-            fh.write(text)
+            fh.writelines(lines)
     return 0
 
 

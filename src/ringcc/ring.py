@@ -616,9 +616,9 @@ class Ring:
         return self.transcript
 
     def drain(self, max_ticks=None):
-        """Idle ticks until nothing is in flight. A full system in normal
-        mode is quiescent; only unfinished deletions or queries keep this
-        running."""
+        """Idle ticks until nothing is in flight and queries are served. A
+        full system in normal mode is quiescent; only unfinished deletions,
+        the settle window after one, or queries keep this running."""
         if max_ticks is None:
             cfg = self.config
             max_ticks = 6 * cfg.p + 2 * cfg.total_capacity // (cfg.k - 1) + 64
@@ -630,7 +630,7 @@ class Ring:
             raise RuntimeError(f"ring did not quiesce within {max_ticks} idle ticks")
 
     def quiescent(self):
-        if not self.junction.quiescent():
+        if not self.junction.quiescent() or self.t < self.junction.age_hold_until:
             return False
         if not self.junction_return.is_empty():
             return False

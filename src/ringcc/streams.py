@@ -96,33 +96,52 @@ def render_items(items):
 # ---------------------------------------------------------------------------
 # Synthetic generators
 
-def gen_uniform(n, u_target, seed=0, vertices=None):
+def iter_uniform(n, u_target, seed=0, vertices=None):
     """n edges whose realized unique fraction tracks u_target: each slot is a
     fresh never-seen pair with probability u_target, otherwise a repeat of an
-    earlier edge."""
+    earlier edge. Edges are drawn as they are read; the arguments are checked
+    at the call. Raises ValueError when a fresh pair is due and every pair of
+    `vertices` has been drawn."""
     if not (0 < u_target <= 1.0):
         raise ValueError("u_target must be in (0, 1]")
-    rng = random.Random(seed)
     if vertices is None:
         vertices = max(64, int(2.5 * (n * u_target) ** 0.5) * 4)
+    return _draw_uniform(n, u_target, random.Random(seed), vertices)
+
+
+def _draw_uniform(n, u_target, rng, vertices):
+    # every edge at a vertex shares that vertex's one int object, a fresh
+    # pair is one tuple (kept by history and yielded), and the seen-set is
+    # keyed by one int per pair
+    ids = list(range(vertices))
+    pairs = vertices * (vertices - 1) // 2
     seen = set()
     history = []
-    out = []
+    draw = rng.randrange
     for _ in range(n):
         if not history or rng.random() < u_target:
+            if len(seen) >= pairs:
+                raise ValueError(f"all {pairs} pairs of {vertices} vertices drawn; "
+                                 "no fresh pair is left")
             while True:
-                u = rng.randrange(vertices)
-                v = rng.randrange(vertices)
+                u = ids[draw(vertices)]
+                v = ids[draw(vertices)]
                 if u == v:
                     continue
-                if (min(u, v), max(u, v)) not in seen:
+                key = u * vertices + v if u < v else v * vertices + u
+                if key not in seen:
                     break
-            seen.add((min(u, v), max(u, v)))
-            history.append((u, v))
-            out.append((u, v))
+            seen.add(key)
+            edge = (u, v)
+            history.append(edge)
+            yield edge
         else:
-            out.append(history[rng.randrange(len(history))])
-    return out
+            yield history[draw(len(history))]
+
+
+def gen_uniform(n, u_target, seed=0, vertices=None):
+    """`iter_uniform` as a list."""
+    return list(iter_uniform(n, u_target, seed, vertices))
 
 
 def gen_repeat_block(n, block=100, seed=0):

@@ -5,6 +5,9 @@ automatic-deletion endurance run) are module-scoped fixtures shared by the
 criteria that inspect them. Run with `pytest tests/test_acceptance.py -v -s`.
 """
 
+import concurrent.futures
+import multiprocessing
+import os
 import random
 
 import pytest
@@ -192,14 +195,18 @@ def test_criterion_4_non_duplication():
 
 @pytest.fixture(scope="module")
 def sweep_results():
-    cells = []
-    for c in (0.3, 0.5, 0.7):
-        for d in (0.25, 0.5, 0.75):
-            for u in (0.5, 1.0):
-                cells.append(run_experiment_2(
-                    c=c, downtime_budget=d, u=u, p=10, s=5000,
-                    events=2, validate=True, seed=11))
-    return cells
+    # the cells are independent and deterministic: run them side by side,
+    # results in cell order; spawned, not forked, as forking a process that
+    # runs threads can deadlock the child
+    spawn = multiprocessing.get_context("spawn")
+    with concurrent.futures.ProcessPoolExecutor(os.cpu_count(), mp_context=spawn) as pool:
+        cells = [pool.submit(run_experiment_2,
+                             c=c, downtime_budget=d, u=u, p=10, s=5000,
+                             events=2, validate=True, seed=11)
+                 for c in (0.3, 0.5, 0.7)
+                 for d in (0.25, 0.5, 0.75)
+                 for u in (0.5, 1.0)]
+        return [cell.result() for cell in cells]
 
 
 def test_criterion_6_sizing_sweep(sweep_results):

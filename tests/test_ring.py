@@ -399,3 +399,18 @@ def test_an_age_inside_the_settle_window_waits_on_a_quiet_tick():
     ring.drain()
     assert [entry["started"] for entry in ring.aging_log] == [12, hold]
     assert ring.violations == []
+
+
+def test_drain_waits_out_the_settle_window():
+    # the first ten items of the transcript's golden stream end inside the
+    # settle window of their second deletion; a query sent after the drain
+    # must be served, not answered busy
+    ring = Ring(RingConfig(p=1, s=8, k=3))
+    ring.run_stream([Arrival(1, 5), Arrival(7, 2), Arrival(5, 4), Arrival(3, 1),
+                     Age(TimestampThreshold(0)), Arrival(7, 7), Arrival(0, 0),
+                     Age(TimestampThreshold(0)), Arrival(0, 2), Arrival(0, 7)])
+    assert ring.t >= ring.junction.age_hold_until
+    ring.tick(Connectivity(1, 4))
+    ring.drain()
+    assert ring.transcript.outputs("busy") == []
+    assert [e[4] for e in ring.transcript.outputs("answer")] == [True]

@@ -1,4 +1,14 @@
+import gc
+import hashlib
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import pytest
+
+import ringcc
 
 from ringcc.model import (
     Age,
@@ -17,6 +27,7 @@ from ringcc.streams import (
     gen_repeat_block,
     gen_rmat,
     gen_uniform,
+    iter_uniform,
     parse_stream_lines,
     render_items,
 )
@@ -81,6 +92,64 @@ def test_uniform_hits_unique_fraction():
 def test_uniform_rejects_bad_target():
     with pytest.raises(ValueError):
         gen_uniform(10, 0.0)
+    with pytest.raises(ValueError):
+        iter_uniform(10, 1.5)  # at the call, before anything is drawn
+
+
+# SHA-256 of repr(gen_uniform(*args)), pinned: how the generator keeps what
+# it has drawn must not change what it draws (the bench's two streams, a
+# larger one, an explicit vertex count)
+UNIFORM_DIGESTS = {
+    (150_000, 1.0, 1): "c9a55b6c4c1fb7f59b371f6f942789ef36cdd7fe40926b80146a112cb4774397",
+    (100_000, 0.67, 1): "91dab68ada248c2429fd73721691c5105db7aa712276c38a7632f4d305a118ee",
+    (300_000, 0.5, 7): "fe06f25702320ab0aa59fb9edf001f98acfad179be0d3c420552317340b9b7ee",
+    (1000, 1.0, 2, 50): "e93bf9b50f6661603451567c4b73a3a07cf1547f4143233906f998d6416c83dc",
+}
+
+
+@pytest.mark.parametrize("args", list(UNIFORM_DIGESTS),
+                         ids=lambda args: "-".join(map(str, args)))
+def test_uniform_streams_are_pinned(args):
+    edges = gen_uniform(*args)
+    assert hashlib.sha256(repr(edges).encode()).hexdigest() == UNIFORM_DIGESTS[args]
+    assert list(iter_uniform(*args)) == edges
+
+
+def test_uniform_memory_budget():
+    # one int object per vertex and one int per seen pair: measured at
+    # 65 B/edge kept and 133 B/edge at peak
+    n = 150_000
+    gc.collect()
+    tracemalloc.start()
+    try:
+        edges = gen_uniform(n, 1.0, 1)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(edges) == n
+    assert peak / n <= 160, f"peak {peak / n:.1f} B/edge"
+    assert kept / n <= 80, f"kept {kept / n:.1f} B/edge"
+
+
+def test_uniform_draws_every_pair_then_refuses():
+    edges = gen_uniform(21, 1.0, 0, vertices=7)
+    assert len({(min(u, v), max(u, v)) for u, v in edges}) == 21
+    # past the last fresh pair the generator must raise, not draw forever; a
+    # separate interpreter turns a hang into a timeout, not a stuck suite
+    code = ("from ringcc.streams import gen_uniform\n"
+            "for args in ((2000, 0.3, 1, 7), (10, 1.0, 0, 1)):\n"
+            "    try:\n"
+            "        gen_uniform(*args)\n"
+            "    except ValueError as exc:\n"
+            "        print('refused:', exc)\n")
+    src = str(Path(ringcc.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=20, env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "refused: all 21 pairs of 7 vertices drawn; no fresh pair is left",
+        "refused: all 0 pairs of 1 vertices drawn; no fresh pair is left",
+    ]
 
 
 def degree_tail_ratio(edges):
