@@ -1,4 +1,11 @@
-"""Streaming connected components on a ring of bounded-memory processors."""
+"""Streaming connected components on a ring of bounded-memory processors.
+
+`import ringcc` loads the lockstep engine only; the threaded engine
+(`pipeline`) and the multipass reference (`multipass`) load on first use of
+one of their exports.
+"""
+
+from importlib import import_module
 
 from .aging import (
     CustomPredicate,
@@ -21,8 +28,6 @@ from .model import (
     SpanningTree,
     canonical_key,
 )
-from .multipass import multipass_labels, partition, run_multipass, static_cc
-from .pipeline import ThreadedRing, run_pipelined
 from .ring import Ring, RingConfig, SystemFailed, Transcript
 from .unionfind import CapacityExhausted, LocalComponents
 
@@ -35,3 +40,18 @@ __all__ = [
     "min_bandwidth_expansion", "multipass_labels", "partition",
     "required_free_space", "run_multipass", "run_pipelined", "static_cc",
 ]
+
+# export -> submodule, imported when the export is first read (PEP 562)
+_LAZY = {
+    "ThreadedRing": "pipeline", "run_pipelined": "pipeline",
+    "multipass_labels": "multipass", "partition": "multipass",
+    "run_multipass": "multipass", "static_cc": "multipass",
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value

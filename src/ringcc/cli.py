@@ -15,11 +15,11 @@ with exit status 1: concurrent processors cannot run the auditor. Likewise
 `run` refuses, with exit status 1, `--reservoir`, `--auto-age-margin` and
 `--seed` (which seeds only the policy's samples) when neither
 `--auto-age-c` nor an AUTOAGE line arms the automatic policy; `gen` refuses
-`--u-target`, `--block` and `--scale` unless `--kind` is the one that reads
-the flag; and `experiment` refuses a flag its harness has no use for.
-`run` and `experiment` print a parameter that `RingConfig` or the sizing
-formulas refuse, such as a survivor fraction outside (0, 1), and exit with
-status 1.
+`--u-target`, `--block`, `--scale` and `--seed` unless `--kind` reads the
+flag (the repeat kind draws nothing, so it takes no seed); and `experiment`
+refuses a flag its harness has no use for. `run`, `gen` and `experiment`
+print a parameter that `RingConfig`, a generator or the sizing formulas
+refuse, such as a survivor fraction outside (0, 1), and exit with status 1.
 """
 
 from __future__ import annotations
@@ -137,25 +137,33 @@ def cmd_run(args):
     return status
 
 
-# the one stream kind that reads each generator flag; any other refuses it
-GEN_FLAG_KIND = {"--u-target": "uniform", "--block": "repeat", "--scale": "rmat"}
+# the stream kinds that read each generator flag; any other kind refuses it
+GEN_FLAG_KIND = {"--u-target": ("uniform",), "--block": ("repeat",),
+                 "--scale": ("rmat",), "--seed": ("uniform", "rmat")}
 
 
 def cmd_gen(args):
-    refused = [flag for flag, kind in GEN_FLAG_KIND.items()
-               if kind != args.kind and getattr(args, flag[2:].replace("-", "_")) is not None]
+    refused = [flag for flag, kinds in GEN_FLAG_KIND.items()
+               if args.kind not in kinds
+               and getattr(args, flag[2:].replace("-", "_")) is not None]
     if refused:
         print(f"gen --kind {args.kind} does not use {', '.join(refused)}", file=sys.stderr)
         return 1
-    if args.kind == "uniform":
-        u_target = 0.67 if args.u_target is None else args.u_target
-        edges = iter_uniform(args.count, u_target, args.seed)
-    elif args.kind == "repeat":
-        block = 100 if args.block is None else args.block
-        edges = gen_repeat_block(args.count, block, args.seed)
-    else:
-        scale = 12 if args.scale is None else args.scale
-        edges = gen_rmat(args.count, scale, seed=args.seed)
+    seed = 0 if args.seed is None else args.seed
+    try:
+        if args.kind == "uniform":
+            u_target = 0.67 if args.u_target is None else args.u_target
+            edges = iter_uniform(args.count, u_target, seed)
+        elif args.kind == "repeat":
+            block = 100 if args.block is None else args.block
+            edges = gen_repeat_block(args.count, block)
+        else:
+            scale = 12 if args.scale is None else args.scale
+            edges = gen_rmat(args.count, scale, seed=seed)
+    except ValueError as exc:
+        # checked at the call, before a line is written
+        print(f"gen: {exc}", file=sys.stderr)
+        return 1
     # each line is written as it is drawn
     lines = (Arrival(u, v).render() + "\n" for u, v in edges)
     if args.output == "-":
@@ -252,7 +260,8 @@ def build_parser():
                             "kind (default 100)")
     gen_p.add_argument("--scale", type=int,
                        help="log2 vertex count for the rmat kind (default 12)")
-    gen_p.add_argument("--seed", type=int, default=0)
+    gen_p.add_argument("--seed", type=int,
+                       help="seed for the uniform and rmat kinds (default 0)")
     gen_p.add_argument("--output", "-o", default="-")
     gen_p.set_defaults(fn=cmd_gen)
 

@@ -35,7 +35,7 @@ def run_experiment_1(kind="uniform", n=100_000, p=10, s=20_000, k=5, seed=0,
     if kind == "uniform":
         edges = gen_uniform(n, u_target, seed)
     elif kind == "repeat":
-        edges = gen_repeat_block(n, 100, seed)
+        edges = gen_repeat_block(n, 100)
     elif kind == "rmat":
         edges = gen_rmat(n, 12, seed=seed)
     else:

@@ -30,8 +30,6 @@ from __future__ import annotations
 
 from array import array
 from collections import deque
-from dataclasses import dataclass
-from typing import Optional
 
 from .aging import StatsProbe, SurvivorProbe, TimestampThreshold
 from .model import (
@@ -84,44 +82,90 @@ class SystemFailed(Exception):
         self.reason = reason
 
 
-@dataclass
-class Violation:
-    tick: int
-    kind: str
-    index: int
-    detail: str
+class _Record:
+    """Equality by the fields named in `_fields` and a repr that names
+    them; a record is mutable, so it has no hash."""
+
+    __slots__ = ()
+    _fields = ()
+
+    def _values(self):
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    __hash__ = None
+
+    def __repr__(self):
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({args})"
 
 
-@dataclass
-class RingConfig:
-    p: int
-    s: int
-    k: int = 5
-    validate: bool = False
-    seed: int = 0
-    reservoir: int = 100
-    auto_age_c: Optional[float] = None
-    auto_age_margin: float = 1.25
-    search_circuits: int = 16
-    taps: bool = False
-    record_inputs: bool = True
-    metrics: bool = False
+class Violation(_Record):
+    """One failed invariant at `tick`; `index` is the processor, or -1 for a
+    ring-wide check."""
 
-    def __post_init__(self):
-        if self.p < 1:
+    __slots__ = _fields = ("tick", "kind", "index", "detail")
+
+    def __init__(self, tick, kind, index, detail):
+        self.tick = tick
+        self.kind = kind
+        self.index = index
+        self.detail = detail
+
+
+class RingConfig(_Record):
+    """Ring size and run options. The defaults are class attributes, so
+    `RingConfig.seed` reads the default seed."""
+
+    _fields = ("p", "s", "k", "validate", "seed", "reservoir", "auto_age_c",
+               "auto_age_margin", "search_circuits", "taps", "record_inputs",
+               "metrics")
+    k = 5
+    validate = False
+    seed = 0
+    reservoir = 100
+    auto_age_c = None
+    auto_age_margin = 1.25
+    search_circuits = 16
+    taps = False
+    record_inputs = True
+    metrics = False
+
+    def __init__(self, p, s, k=k, validate=validate, seed=seed,
+                 reservoir=reservoir, auto_age_c=auto_age_c,
+                 auto_age_margin=auto_age_margin,
+                 search_circuits=search_circuits, taps=taps,
+                 record_inputs=record_inputs, metrics=metrics):
+        self.p = p
+        self.s = s
+        self.k = k
+        self.validate = validate
+        self.seed = seed
+        self.reservoir = reservoir
+        self.auto_age_c = auto_age_c
+        self.auto_age_margin = auto_age_margin
+        self.search_circuits = search_circuits
+        self.taps = taps
+        self.record_inputs = record_inputs
+        self.metrics = metrics
+        if p < 1:
             raise ValueError("need at least one processor")
-        if self.s < 1:
+        if s < 1:
             raise ValueError("per-processor capacity must be >= 1")
-        if self.k < 2:
+        if k < 2:
             raise ValueError("bundles need a primary and at least one payload slot")
-        if self.auto_age_c is not None and not 0 < self.auto_age_c < 1:
-            raise ValueError(f"auto_age_c={self.auto_age_c} must be in (0, 1)")
-        if not self.auto_age_margin > 0:
-            raise ValueError(f"auto_age_margin={self.auto_age_margin} must be > 0")
-        if self.reservoir < 1:
-            raise ValueError(f"reservoir={self.reservoir} must be >= 1")
-        if self.search_circuits < 1:
-            raise ValueError(f"search_circuits={self.search_circuits} must be >= 1")
+        if auto_age_c is not None and not 0 < auto_age_c < 1:
+            raise ValueError(f"auto_age_c={auto_age_c} must be in (0, 1)")
+        if not auto_age_margin > 0:
+            raise ValueError(f"auto_age_margin={auto_age_margin} must be > 0")
+        if reservoir < 1:
+            raise ValueError(f"reservoir={reservoir} must be >= 1")
+        if search_circuits < 1:
+            raise ValueError(f"search_circuits={search_circuits} must be >= 1")
 
     @property
     def total_capacity(self):

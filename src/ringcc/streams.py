@@ -144,9 +144,11 @@ def gen_uniform(n, u_target, seed=0, vertices=None):
     return list(iter_uniform(n, u_target, seed, vertices))
 
 
-def gen_repeat_block(n, block=100, seed=0):
+def gen_repeat_block(n, block=100):
     """Fresh disjoint edges, each observed `block` times contiguously; the
-    realized unique fraction is 1/block."""
+    realized unique fraction is 1/block. Draws nothing, so takes no seed."""
+    if block < 1:
+        raise ValueError(f"block={block} must be >= 1")
     out = []
     i = 0
     while len(out) < n:

@@ -1,7 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import ringcc
 
 from ringcc.cli import _config_from, build_parser, main
 from ringcc.model import Arrival
@@ -211,6 +217,7 @@ def test_run_accepts_seed_when_the_policy_is_armed(tmp_path, capsys):
     ("rmat", "--block", "10"),
     ("uniform", "--scale", "5"),
     ("repeat", "--scale", "5"),
+    ("repeat", "--seed", "4"),
 ])
 def test_gen_refuses_flags_its_kind_would_ignore(kind, flag, value, capsys):
     rc = main(["gen", "--kind", kind, "-n", "10", flag, value])
@@ -220,17 +227,47 @@ def test_gen_refuses_flags_its_kind_would_ignore(kind, flag, value, capsys):
 
 
 @pytest.mark.parametrize("kind, flags, edges", [
-    ("uniform", [], gen_uniform(300, 0.67, 4)),
-    ("uniform", ["--u-target", "0.5"], gen_uniform(300, 0.5, 4)),
-    ("repeat", [], gen_repeat_block(300, 100, 4)),
-    ("repeat", ["--block", "7"], gen_repeat_block(300, 7, 4)),
-    ("rmat", [], gen_rmat(300, 12, seed=4)),
-    ("rmat", ["--scale", "6"], gen_rmat(300, 6, seed=4)),
+    ("uniform", ["--seed", "4"], gen_uniform(300, 0.67, 4)),
+    ("uniform", ["--seed", "4", "--u-target", "0.5"], gen_uniform(300, 0.5, 4)),
+    ("repeat", [], gen_repeat_block(300, 100)),
+    ("repeat", ["--block", "7"], gen_repeat_block(300, 7)),
+    ("rmat", ["--seed", "4"], gen_rmat(300, 12, seed=4)),
+    ("rmat", ["--seed", "4", "--scale", "6"], gen_rmat(300, 6, seed=4)),
 ])
 def test_gen_writes_the_stream_of_its_kind(kind, flags, edges, capsys):
-    rc = main(["gen", "--kind", kind, "-n", "300", "--seed", "4"] + flags)
+    rc = main(["gen", "--kind", kind, "-n", "300"] + flags)
     assert rc == 0
     assert capsys.readouterr().out == render_items([Arrival(u, v) for u, v in edges])
+
+
+def test_gen_seeds_uniform_and_rmat_with_zero_by_default(capsys):
+    for kind, edges in (("uniform", gen_uniform(50, 0.67, 0)), ("rmat", gen_rmat(50, 12))):
+        assert main(["gen", "--kind", kind, "-n", "50"]) == 0
+        assert capsys.readouterr().out == render_items([Arrival(u, v) for u, v in edges])
+
+
+@pytest.mark.parametrize("block", ["0", "-1"])
+def test_gen_refuses_a_block_below_one(block):
+    # a block below one once added no edge and looped forever; a separate
+    # interpreter turns a hang into a timeout, not a stuck suite
+    src = str(Path(ringcc.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-m", "ringcc.cli", "gen", "--kind", "repeat",
+         "--block", block, "-n", "5"],
+        capture_output=True, text=True, timeout=20,
+        env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr == f"gen: block={block} must be >= 1\n"
+
+
+@pytest.mark.parametrize("flags", [["--u-target", "0"], ["--u-target", "1.5"]])
+def test_gen_prints_a_value_the_generator_refuses(flags, capsys):
+    rc = main(["gen", "-n", "5"] + flags)
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert out == ""
+    assert err == "gen: u_target must be in (0, 1]\n"
 
 
 def test_run_accepts_policy_flags_with_auto_age_c(tmp_path, capsys):

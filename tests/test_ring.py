@@ -6,7 +6,7 @@ from ringcc.model import (
     EMPTY_BUNDLE, Age, Arrival, AutoAge, Bundle, Connectivity, EdgeCount, IDLE, LabeledEdge)
 from ringcc.aging import TimestampThreshold
 from ringcc.multipass import static_cc
-from ringcc.ring import IOJunction, Ring, RingConfig, SystemFailed
+from ringcc.ring import IOJunction, Ring, RingConfig, SystemFailed, Violation
 from ringcc.streams import gen_uniform
 
 from test_idle_skip import drain_padding, mixed_items
@@ -342,6 +342,75 @@ def test_autoage_item_refuses_c_outside_the_open_unit_interval(c):
     arrivals = [Arrival(u, v) for u, v in gen_uniform(4000, 1.0, seed=0)]
     with pytest.raises(ValueError, match="target_c"):
         Ring(RingConfig(p=4, s=400)).run_stream([AutoAge(c)] + arrivals)
+
+
+CONFIG_DEFAULTS = {"k": 5, "validate": False, "seed": 0, "reservoir": 100,
+                   "auto_age_c": None, "auto_age_margin": 1.25,
+                   "search_circuits": 16, "taps": False, "record_inputs": True,
+                   "metrics": False}
+
+
+def test_config_defaults_read_on_the_class_and_the_instance():
+    config = RingConfig(10, 2400)
+    for field, value in CONFIG_DEFAULTS.items():
+        assert getattr(RingConfig, field) == value
+        assert getattr(config, field) == value
+    assert config.total_capacity == 24_000
+
+
+def test_config_takes_its_fields_by_position():
+    values = (10, 2400, 5, True, 3, 50, 0.5, 2.0, 4, True, False, True)
+    config = RingConfig(*values)
+    assert tuple(getattr(config, f) for f in (
+        "p", "s", "k", "validate", "seed", "reservoir", "auto_age_c",
+        "auto_age_margin", "search_circuits", "taps", "record_inputs",
+        "metrics")) == values
+    assert config == RingConfig(p=10, s=2400, k=5, validate=True, seed=3,
+                                reservoir=50, auto_age_c=0.5, auto_age_margin=2.0,
+                                search_circuits=4, taps=True, record_inputs=False,
+                                metrics=True)
+    assert RingConfig(10, 2400, 5) == RingConfig(p=10, s=2400)
+
+
+def test_config_compares_and_prints_by_fields():
+    config = RingConfig(10, 2400, 5)
+    assert config == RingConfig(10, 2400, 5)
+    assert config != RingConfig(10, 2400, 5, seed=1)
+    assert config != RingConfig(10, 2401, 5)
+    assert config != (10, 2400, 5)
+    assert repr(config) == (
+        "RingConfig(p=10, s=2400, k=5, validate=False, seed=0, reservoir=100, "
+        "auto_age_c=None, auto_age_margin=1.25, search_circuits=16, taps=False, "
+        "record_inputs=True, metrics=False)")
+
+
+def test_violation_compares_and_prints_by_fields():
+    v = Violation(7, "tree-prefix", 2, "edge (1, 2)")
+    assert v == Violation(7, "tree-prefix", 2, "edge (1, 2)")
+    assert [v] == [Violation(7, "tree-prefix", 2, "edge (1, 2)")]
+    for other in (Violation(8, "tree-prefix", 2, "edge (1, 2)"),
+                  Violation(7, "space-prefix", 2, "edge (1, 2)"),
+                  Violation(7, "tree-prefix", -1, "edge (1, 2)"),
+                  Violation(7, "tree-prefix", 2, "edge (1, 3)")):
+        assert v != other
+    assert v != (7, "tree-prefix", 2, "edge (1, 2)")
+    assert (v.tick, v.kind, v.index, v.detail) == (7, "tree-prefix", 2, "edge (1, 2)")
+    assert repr(v) == "Violation(tick=7, kind='tree-prefix', index=2, detail='edge (1, 2)')"
+
+
+@pytest.mark.parametrize("kw, message", [
+    ({"p": 0}, "need at least one processor"),
+    ({"s": 0}, "per-processor capacity must be >= 1"),
+    ({"k": 1}, "bundles need a primary and at least one payload slot"),
+    ({"auto_age_c": 1.5}, "auto_age_c=1.5 must be in (0, 1)"),
+    ({"auto_age_margin": 0.0}, "auto_age_margin=0.0 must be > 0"),
+    ({"reservoir": 0}, "reservoir=0 must be >= 1"),
+    ({"search_circuits": 0}, "search_circuits=0 must be >= 1"),
+])
+def test_config_refusal_messages(kw, message):
+    with pytest.raises(ValueError) as exc:
+        RingConfig(**{"p": 4, "s": 400, **kw})
+    assert str(exc.value) == message
 
 
 def test_config_accepts_policy_values_in_range():
