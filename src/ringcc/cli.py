@@ -25,14 +25,9 @@ refuse, such as a survivor fraction outside (0, 1), and exit with status 1.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import sys
 
-from .experiments import run_experiment_1, run_experiment_2, run_experiment_3
 from .model import Arrival, AutoAge
-from .multipass import multipass_labels
-from .pipeline import ThreadedRing
 from .ring import Ring, RingConfig, SystemFailed
 from .streams import (
     ParseError,
@@ -111,7 +106,10 @@ def cmd_run(args):
     except ValueError as exc:
         print(f"run: {exc}", file=sys.stderr)
         return 1
-    ring = (ThreadedRing if args.engine == "pipelined" else Ring)(config)
+    engine = Ring
+    if args.engine == "pipelined":
+        from .pipeline import ThreadedRing as engine
+    ring = engine(config)
     failure = None
     try:
         ring.run_stream(items)
@@ -121,6 +119,7 @@ def cmd_run(args):
         for line in ring.transcript.lines(inputs=False):
             print(line)
     if args.metrics:
+        import csv
         with open(args.metrics, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(METRICS_HEADER)
@@ -180,6 +179,7 @@ def cmd_reference(args):
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1
+    from .multipass import multipass_labels
     arrivals = [(it.u, it.v) for it in items if isinstance(it, Arrival)]
     labels = multipass_labels(args.capacity, arrivals=arrivals)
     for v in sorted(labels):
@@ -204,6 +204,9 @@ def cmd_experiment(args):
     if refused:
         print(f"experiment {which} does not use {', '.join(refused)}", file=sys.stderr)
         return 1
+    import json
+
+    from .experiments import run_experiment_1, run_experiment_2, run_experiment_3
     n = 100_000 if args.count is None else args.count
     k = 5 if args.bundle is None else args.bundle
     survivor = args.survivor or [0.5]

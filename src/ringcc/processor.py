@@ -6,12 +6,12 @@ their way to the builder; duplicates are absorbed wherever their stored copy
 lives; non-tree edges settle into the first open space. During bulk deletion
 the same driver additionally runs the testing and recycling phases.
 
-A processor with no work of its own (not the builder, not aging, not the
-tail, nothing queued, no builder token arriving) hands a bundle of edges,
-behind an optional connectivity or count query, to a transit hop that does
-slot by slot what the general path would:
+The rules for an edge at a processor that is neither the builder nor the
+loader live in one place, the transit hop (`Processor._transit`):
 
 - a duplicate is absorbed and the stored copy keeps the newer timestamp;
+- while aging, the loader has not reached the processor, so it stores no
+  edge: every other edge rides on in its slot whatever its labels;
 - a sealed processor holds s tree edges, so it is full and cannot store:
   it relabels an edge whose labels differ through its union-find, leaves an
   already resolved one (equal labels) alone, and forwards either in its slot;
@@ -19,17 +19,19 @@ slot by slot what the general path would:
   connectivity information: an edge with equal labels settles as non-tree
   while space lasts, and every other edge rides on in its slot. Outside a
   deletion it holds no unresolved edge that a full store could trade;
-- a connectivity query relabels both endpoints and is answered once they
-  meet; a count query adds the stored count.
+- a full tail sends a `FailSignal` where it would have settled an edge.
 
-An aging processor that is not the loader (the tail included) takes the
-same hop for a bundle of payload edges with an empty primary slot, when
-nothing is queued and no builder token arrives. The loader has not reached
-it, so it stores no payload edge: a duplicate is absorbed as above, every
-other edge rides on in its slot whatever its labels, and then k-1 of its own
-untested edges are tested, as on the general path.
-
-Every other bundle takes the general path, which stays the reference.
+A processor with no work of its own (not the builder or the loader, nothing
+queued, no builder token arriving) hands the hop a whole bundle of edges.
+Outside a deletion a connectivity or count query may ride in the primary
+slot, and the hop relabels its endpoints and answers it once they meet, or
+adds the stored count; at the tail the automatic policy may then start.
+While aging the primary slot must be empty, and after the payload the
+processor tests k-1 of its own untested edges. Every other bundle takes the
+general path, which hands the hop such edges one slot at a time outside a
+deletion. Its own edge code covers the builder, the loader, and an aging
+processor's edges, whose primary edge may settle unresolved for the loader
+to recycle.
 """
 
 from __future__ import annotations
@@ -77,9 +79,6 @@ from .unionfind import LocalComponents
 TREE = 0
 NONTREE = 1
 UNRESOLVED = 2
-
-STORE = True
-FORWARD = False
 
 
 class SlotOverflow(RuntimeError):
@@ -182,14 +181,23 @@ class Processor:
                 config.p, config.s, config.k, config.search_circuits)
 
         self._pk = Packer(config.k)
+        self._one = Bundle()
 
     # ------------------------------------------------------------------ tick
 
     def process_bundle(self, b):
-        if (self.aging or not self.is_tail) and not (
-                self.is_builder or self.outq or b.builder_token):
+        if not (self.is_builder or self.outq or b.builder_token):
             out = self._transit(b)
             if out is not None:
+                monitor = self.monitor
+                if monitor is None or self.aging or not monitor.should_start(self.stored):
+                    return out
+                # the policy starts on this tick: its probe takes the first
+                # free payload slot, or waits in the queue
+                probe = monitor.start()
+                if len(out.payload) < self.k - 1:
+                    return Bundle(out.primary, [*out.payload, probe])
+                self.outq.append(probe)
                 return out
         pk = self._pk
         pk.primary = None
@@ -219,47 +227,39 @@ class Processor:
         return pk.bundle()
 
     def _transit(self, b):
-        """The general path, slot by slot, for a processor that is not the
-        builder, has nothing queued and gets no builder token, and that is
-        either aging or not the tail. Outside a deletion it returns None,
-        leaving the bundle to the general path, when a slot holds anything
-        but an edge, or a connectivity or count query in the primary slot.
-        While aging it relays payload edges and then tests its own, and
-        returns None for the loader, a sealed processor, an occupied primary
-        slot or a payload item that is not an edge."""
+        """The only rules for an edge at a processor that is neither the
+        builder nor the loader, slot by slot. `process_bundle` hands it a
+        whole bundle from such a processor when nothing is queued and no
+        builder token arrives; `_process_edge` hands it one edge at a time
+        outside a deletion.
+
+        Returns None, leaving the bundle to the general path, when a payload
+        slot holds anything but an edge or the primary slot anything but an
+        edge or a connectivity or count query; while aging, for the loader or
+        an occupied primary slot; and when a full tail would signal for the
+        primary edge of a bundle whose payload slots are all taken. An aging
+        processor tests k-1 of its own edges after relaying the payload, as
+        `_aging_phase` would."""
         prim = b.primary
         payload = b.payload
         for e in payload:
             if type(e) is not LabeledEdge:
                 return None
-        if self.aging:
-            # the head is the loader for as long as it ages, so this is a
-            # processor downstream of the loader, where _aging_phase tests
-            if prim is not None or self.is_loader or self.sealed:
-                return None
-            dup = self.dup
-            fwd = []
-            for e in payload:
-                rec = dup.get(e.ck)
-                if rec is None:
-                    fwd.append(e)
-                elif e.t > rec.t:
-                    rec.t = e.t
-            if self.untested:
-                self._downstream_testing()
-            if not fwd:
-                return EMPTY_BUNDLE
-            if len(fwd) == len(payload):
-                return b
-            return Bundle(None, fwd)
+        aging = self.aging
         tp = type(prim)
-        if not (prim is None or tp is LabeledEdge or tp is ConnQuery or tp is CountQuery):
+        if aging:
+            # the head is the loader for as long as it ages, so this is a
+            # processor downstream of the loader
+            if prim is not None or self.is_loader:
+                return None
+        elif not (prim is None or tp is LabeledEdge or tp is ConnQuery or tp is CountQuery):
             return None
         dup = self.dup
         # the union-find's block -> component map, read inline (see unionfind)
         sets = self.lc.sets
         sealed = self.sealed
         changed = False
+        fwd = []
         if tp is LabeledEdge:
             rec = dup.get(prim.ck)
             if rec is not None:
@@ -267,18 +267,28 @@ class Processor:
                     rec.t = prim.t
                 prim = None
                 changed = True
-            elif sealed:
-                if prim.lu != prim.lv:
-                    c = sets.get(prim.lu)
-                    if c is not None:
-                        prim.lu = c.name
-                    c = sets.get(prim.lv)
-                    if c is not None:
-                        prim.lv = c.name
-            elif prim.lu == prim.lv and self.stored < self.s:
-                self._accept(prim, NONTREE)
-                prim = None
-                changed = True
+            else:
+                if sealed:
+                    if prim.lu != prim.lv:
+                        c = sets.get(prim.lu)
+                        if c is not None:
+                            prim.lu = c.name
+                        c = sets.get(prim.lv)
+                        if c is not None:
+                            prim.lv = c.name
+                elif prim.lu == prim.lv and self.stored < self.s:
+                    self._accept(prim, NONTREE)
+                    prim = None
+                    changed = True
+                if prim is not None and prim.lu == prim.lv and self.is_tail:
+                    # the general path packs a full tail's signal into the
+                    # first payload slot, where the junction reads it first,
+                    # and then spills the k-th slot into the primary one
+                    if len(payload) == self.k - 1:
+                        return None
+                    fwd.append(FailSignal(prim, self.index))
+                    prim = None
+                    changed = True
         elif tp is ConnQuery:
             # an empty union-find, as downstream of the builder, relabels
             # nothing, and whoever changed the labels last compared them
@@ -293,13 +303,14 @@ class Processor:
                     prim.answer = True
         elif tp is CountQuery:
             prim.n += self.stored
-        fwd = []
         for e in payload:
             rec = dup.get(e.ck)
             if rec is not None:
                 if e.t > rec.t:
                     rec.t = e.t
                 changed = True
+            elif aging:
+                fwd.append(e)
             elif sealed:
                 if e.lu != e.lv:
                     c = sets.get(e.lu)
@@ -308,12 +319,23 @@ class Processor:
                     c = sets.get(e.lv)
                     if c is not None:
                         e.lv = c.name
+                if e.lu == e.lv and self.is_tail:
+                    fwd.append(FailSignal(e, self.index))
+                    changed = True
+                else:
+                    fwd.append(e)
+            elif e.lu != e.lv:
                 fwd.append(e)
-            elif e.lu == e.lv and self.stored < self.s:
+            elif self.stored < self.s:
                 self._accept(e, NONTREE)
+                changed = True
+            elif self.is_tail:
+                fwd.append(FailSignal(e, self.index))
                 changed = True
             else:
                 fwd.append(e)
+        if aging and self.untested:
+            self._downstream_testing()
         if not changed:
             return b
         if prim is None and not fwd:
@@ -468,6 +490,17 @@ class Processor:
     # ------------------------------------------------- constituent functions
 
     def _process_edge(self, e, primary, pk):
+        if not (self.is_builder or self.aging):
+            # one reused bundle per processor: the hop may hand it back, and
+            # its slots are read out before the next edge
+            one = self._one
+            one.primary, one.payload = (e, ()) if primary else (None, (e,))
+            out = self._transit(one)
+            if out.primary is not None:
+                pk.set_primary(out.primary)
+            for item in out.payload:
+                pk.pack(item)
+            return
         rec = self.dup.get(e.ck)
         if rec is not None:
             # duplicates never propagate; the stored copy keeps the newest
@@ -475,34 +508,21 @@ class Processor:
             if e.t > rec.t:
                 rec.t = e.t
             return
-        if not (self.is_builder or self.sealed):
-            # strictly downstream of the builder: no connectivity information.
-            # Resolved traffic (equal labels) looks for a home wherever the
-            # local rebuild is not mid-flight; an unresolved edge may settle
-            # only where a loader will still come for it, and otherwise keeps
-            # riding until it re-enters through the head.
-            if e.lu == e.lv:
-                if primary or self.is_loader or not self.aging:
-                    self._store_or_forward(e, primary, NONTREE, pk)
-                else:
-                    pk.pack(e)
-            elif primary:
-                if self.aging:
-                    self._store_or_forward(e, True, UNRESOLVED, pk)
-                else:
-                    pk.set_primary(e)
-            else:
-                pk.pack(e)
-            return
-        if e.lu == e.lv:
-            self._store_or_forward(e, primary, NONTREE, pk)
-        elif not self._potential_tree_edge(e, primary, pk):
-            self._store_or_forward(e, primary, NONTREE, pk)
+        if self.is_builder:
+            if e.lu == e.lv or not self._potential_tree_edge(e, primary, pk):
+                self._store_or_forward(e, primary, NONTREE, pk)
+        elif primary or e.lu == e.lv and self.is_loader:
+            # aging behind the builder, with no connectivity information: an
+            # unresolved primary edge may settle as such, for the loader to
+            # recycle, and a resolved edge settles at the loader or in the
+            # primary slot; any other payload edge keeps riding
+            self._store_or_forward(e, primary, NONTREE if e.lu == e.lv else UNRESOLVED, pk)
+        else:
+            pk.pack(e)
 
     def _potential_tree_edge(self, e, primary, pk):
-        """Relabel; False means the edge just revealed itself as non-tree.
-        The builder stores it (this must succeed); a sealed processor passes
-        it on for a downstream builder to resolve."""
+        """Relabel at the builder; False means the edge just revealed itself
+        as non-tree, and otherwise it is stored as a tree edge."""
         sets = self.lc.sets
         c = sets.get(e.lu)
         if c is not None:
@@ -512,37 +532,31 @@ class Processor:
             e.lv = c.name
         if e.lu == e.lv:
             return False
-        if self.is_builder:
-            # the store can only bounce while untested edges pin the space;
-            # the edge then overflows unresolved and retries via the head
-            self._store_or_forward(e, primary, TREE, pk)
-            if len(self.tree) >= self.s:
-                if self.is_loader:
-                    # builder duty must not overtake the loader: both tokens
-                    # leave together once recycling here is done
-                    self.seal_pending = True
-                else:
-                    pk.builder_token = True
-                    self.is_builder = False
-                    self.sealed = True
-        else:
-            if primary:
-                pk.set_primary(e)
+        # the store can only bounce while untested edges pin the space; the
+        # edge then overflows unresolved and retries via the head
+        self._store_or_forward(e, primary, TREE, pk)
+        if len(self.tree) >= self.s:
+            if self.is_loader:
+                # builder duty must not overtake the loader: both tokens
+                # leave together once recycling here is done
+                self.seal_pending = True
             else:
-                pk.pack(e)
+                pk.builder_token = True
+                self.is_builder = False
+                self.sealed = True
         return True
 
     def _store_or_forward(self, e, primary, cls, pk):
         if self.stored >= self.s:
             if self.is_tail:
                 pk.pack(FailSignal(e, self.index))
-                return FORWARD
+                return
             if cls == UNRESOLVED:
                 if primary:
                     pk.set_primary(e)
                 else:
                     pk.pack(e)
-                return FORWARD
+                return
             ep = self._jettison_unresolved()
             if ep is not None:
                 ep.reset_labels()  # recycles through the head as a fresh edge
@@ -565,7 +579,7 @@ class Processor:
                         pk.set_primary(e)
                     else:
                         pk.pack(e)
-                    return FORWARD
+                    return
                 ep = self._jettison_nontree()
                 if ep is None:
                     # a tree candidate with nothing evictable: legal only for
@@ -579,10 +593,9 @@ class Processor:
                         pk.set_primary(e)
                     else:
                         pk.pack(e)
-                    return FORWARD
+                    return
                 pk.pack(ep)  # keeps its equal labels; settles downstream
         self._accept(e, cls)
-        return STORE
 
     # --------------------------------------------------------- store helpers
 

@@ -43,18 +43,22 @@ class CountQuery:
 
 # -- non-constant query commands (primary slot) -------------------------------
 
-class DumpCommand:
+class QidMessage:
+    """A command or end marker that carries only its query's id. Each kind
+    is an empty subclass, since slots are dispatched on the exact class."""
+
     __slots__ = ("qid",)
 
     def __init__(self, qid):
         self.qid = qid
 
 
-class TreeCommand:
-    __slots__ = ("qid",)
+class DumpCommand(QidMessage):
+    __slots__ = ()
 
-    def __init__(self, qid):
-        self.qid = qid
+
+class TreeCommand(QidMessage):
+    __slots__ = ()
 
 
 class SmallCommand:
@@ -65,11 +69,8 @@ class SmallCommand:
         self.limit = limit
 
 
-class MaxCommand:
-    __slots__ = ("qid",)
-
-    def __init__(self, qid):
-        self.qid = qid
+class MaxCommand(QidMessage):
+    __slots__ = ()
 
 
 # -- payload messages ----------------------------------------------------------
@@ -120,35 +121,23 @@ class VertexMsg:
         self.vertex = vertex
 
 
-class PhaseDone:
+class PhaseDone(QidMessage):
     """End of the size-folding phase; held by each processor until its own
     sizes have been emitted."""
 
-    __slots__ = ("qid",)
-
-    def __init__(self, qid):
-        self.qid = qid
+    __slots__ = ()
 
 
-class QueryDone:
-    __slots__ = ("qid",)
-
-    def __init__(self, qid):
-        self.qid = qid
+class QueryDone(QidMessage):
+    __slots__ = ()
 
 
-class DumpEnd:
-    __slots__ = ("qid",)
-
-    def __init__(self, qid):
-        self.qid = qid
+class DumpEnd(QidMessage):
+    __slots__ = ()
 
 
-class TreeDumpEnd:
-    __slots__ = ("qid",)
-
-    def __init__(self, qid):
-        self.qid = qid
+class TreeDumpEnd(QidMessage):
+    __slots__ = ()
 
 
 # -- per-processor scratch ------------------------------------------------------

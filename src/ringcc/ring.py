@@ -800,19 +800,19 @@ class Ring:
         outside a deletion holds untested or unresolved edges. Every check
         flags the processors on one side of an index (the builder, the
         loader or the first open space), so it flags one iff the extreme
-        processor of its kind lies on that side, and the summaries are clean
-        exactly when the scan would find nothing. Then the pass returns
-        `[]`; otherwise `_audit_scan`, the only code that builds `Violation`
-        records, reports in detail.
+        processor of its kind lies on that side. Only a check whose summary
+        fails loops over the processors to build one `Violation` per
+        offender, and the checks report in a fixed order.
         """
         procs = self.processors
         p = self.config.p
         s = self.config.s
+        t = self.t
         junction = self.junction
         aging = junction.mode == "aging"
         scope = p
         if aging and self.aging_started_tick is not None:
-            scope = min(p, self.t - self.aging_started_tick + 1)
+            scope = min(p, t - self.aging_started_tick + 1)
         nbuilders = 0
         builder = loader = None
         first_short = first_unresolved = p  # p: none
@@ -844,89 +844,57 @@ class Ring:
             if (pr.untested or pr.unresolved) and not pr.aging:
                 pending = True
 
-        if pending or nbuilders > 1:
-            return self._audit_scan()
+        found = []
+        if nbuilders > 1:
+            found.append(Violation(t, "builder-count", -1,
+                                   f"{nbuilders} builders in scope {scope}"))
         if builder is None:
             builder = self._builder_token_position()
-            if builder is None:
-                return self._audit_scan()
-        if first_short < builder or last_tree > builder:
-            return self._audit_scan()
-        if not aging:
-            if self.t >= junction.age_hold_until and last_resolved > first_space:
-                return self._audit_scan()
-            return []
-        if loader is None:
-            loader = self._loader_token_position()
-        if loader is not None and (
-                (nbuilders == 1 and builder > loader) or first_unresolved < loader):
-            return self._audit_scan()
-        return []
-
-    def _audit_scan(self):
-        """The detailed layout checks: one `Violation` per offending
-        processor, in a fixed order. `audit_invariants` calls this only when
-        its summaries show that something is wrong."""
-        found = []
-        procs = self.processors
-        p = self.config.p
-        s = self.config.s
-        aging = self.junction.mode == "aging"
-        scope = p
-        if aging and self.aging_started_tick is not None:
-            scope = min(p, self.t - self.aging_started_tick + 1)
-        in_scope = procs[:scope]
-
-        builders = [pr.index for pr in in_scope if pr.is_builder]
-        if len(builders) > 1:
-            found.append(Violation(self.t, "builder-count", -1,
-                                   f"{len(builders)} builders in scope {scope}"))
-        b = builders[0] if builders else self._builder_token_position()
-        if b is None:
-            found.append(Violation(self.t, "builder-count", -1,
-                                   f"no builder in scope {scope}"))
-        else:
-            for pr in in_scope:
+        if builder is None:
+            found.append(Violation(t, "builder-count", -1, f"no builder in scope {scope}"))
+        elif first_short < builder or last_tree > builder:
+            for pr in procs[:scope]:
                 ntree = len(pr.tree)
-                if pr.index < b and ntree != s:
-                    found.append(Violation(self.t, "tree-prefix", pr.index,
+                if pr.index < builder and ntree != s:
+                    found.append(Violation(t, "tree-prefix", pr.index,
                                            f"sealed processor holds {ntree}/{s} tree edges"))
-                if pr.index > b and ntree != 0:
-                    found.append(Violation(self.t, "tree-downstream", pr.index,
-                                           f"{ntree} tree edges downstream of builder {b}"))
+                if pr.index > builder and ntree != 0:
+                    found.append(Violation(t, "tree-downstream", pr.index,
+                                           f"{ntree} tree edges downstream of builder {builder}"))
 
-        if not aging and self.t >= self.junction.age_hold_until:
-            # steady-state packing; right after a deletion, trailing recycled
-            # edges may still be refilling the transient hole at the head.
-            # During a rebuild this clause is owned by the jeopardy exception:
-            # an overloaded builder/loader legitimately parks edges in the
-            # first open space further downstream.
-            first_space = next((pr.index for pr in in_scope if pr.stored < s), scope)
-            for pr in in_scope:
-                if pr.index > first_space and (pr.tree or pr.nontree):
-                    found.append(Violation(self.t, "space-prefix", pr.index,
+        # steady-state packing; right after a deletion, trailing recycled
+        # edges may still be refilling the transient hole at the head. During
+        # a rebuild this clause is owned by the jeopardy exception: an
+        # overloaded builder/loader legitimately parks edges in the first
+        # open space further downstream.
+        if not aging and t >= junction.age_hold_until and last_resolved > first_space:
+            for pr in procs[first_space + 1:scope]:
+                if pr.tree or pr.nontree:
+                    found.append(Violation(t, "space-prefix", pr.index,
                                            f"resolved edges beyond first open space {first_space}"))
 
         # only a deletion fills these pools, and it empties them before the
-        # processor leaves it; the transit hop in process_bundle relies on it
-        for pr in procs:
-            if not pr.aging and (pr.untested or pr.unresolved):
-                found.append(Violation(self.t, "pending-outside-aging", pr.index,
-                                       f"{len(pr.untested)} untested, "
-                                       f"{len(pr.unresolved)} unresolved while not aging"))
+        # processor leaves it; the transit hop relies on it
+        if pending:
+            for pr in procs:
+                if not pr.aging and (pr.untested or pr.unresolved):
+                    found.append(Violation(t, "pending-outside-aging", pr.index,
+                                           f"{len(pr.untested)} untested, "
+                                           f"{len(pr.unresolved)} unresolved while not aging"))
 
         if aging:
-            loader = next((pr.index for pr in in_scope if pr.is_loader), None)
             if loader is None:
                 loader = self._loader_token_position()
             if loader is not None:
-                if builders and len(builders) == 1 and builders[0] > loader:
-                    found.append(Violation(self.t, "builder-past-loader", builders[0],
-                                           f"builder {builders[0]} > loader {loader}"))
-                for pr in in_scope:
-                    if pr.index < loader and pr.unresolved:
-                        found.append(Violation(self.t, "unresolved-upstream", pr.index,
-                                               f"{len(pr.unresolved)} unresolved before loader {loader}"))
+                if nbuilders == 1 and builder > loader:
+                    found.append(Violation(t, "builder-past-loader", builder,
+                                           f"builder {builder} > loader {loader}"))
+                if first_unresolved < loader:
+                    for pr in procs[:min(scope, loader)]:
+                        if pr.unresolved:
+                            found.append(Violation(
+                                t, "unresolved-upstream", pr.index,
+                                f"{len(pr.unresolved)} unresolved before loader {loader}"))
         return found
 
     def _loader_token_position(self):

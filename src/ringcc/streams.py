@@ -185,10 +185,6 @@ def gen_rmat(n, scale=12, corners=(0.45, 0.15, 0.15, 0.25), seed=0):
     return out
 
 
-def edges_to_items(edges):
-    return [Arrival(u, v) for (u, v) in edges]
-
-
 def interleave_queries(edges, every=10, seed=0, unseen_prob=0.1, vertex_pool=None):
     """Edge arrivals with a connectivity query after every `every` edges,
     probing mostly seen vertices plus the occasional unseen one."""

@@ -1,6 +1,7 @@
 """`Ring.audit_invariants` decides from one pass of per-check summaries
-whether the layout is wrong, and only then runs the detailed scan,
-`Ring._audit_scan`. On every tick both must report the same violations."""
+which layout checks fail, and loops over the processors only for those.
+`util.audit_scan` makes every check processor by processor. On every tick
+both must report the same violations, in the same order."""
 
 import random
 from collections import Counter
@@ -14,6 +15,7 @@ from ringcc.processor import SlotOverflow
 from ringcc.ring import Ring, RingConfig, SystemFailed
 
 from test_idle_skip import drain_padding, mixed_items
+from util import audit_scan
 
 
 def rows(found):
@@ -30,7 +32,7 @@ def run_compared(config, items):
 
     def compared(ring):
         found = audit(ring)
-        assert rows(found) == rows(ring._audit_scan()), f"{config} tick {ring.t}"
+        assert rows(found) == rows(audit_scan(ring)), f"{config} tick {ring.t}"
         seen["audits"] += 1
         seen["flagged"] += bool(found)
         return found

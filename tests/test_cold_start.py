@@ -1,6 +1,7 @@
 """`import ringcc` and building a lockstep ring load only what the lockstep
 ring runs; the threaded engine and the multipass reference load on first
-use of one of their exports."""
+use of one of their exports. The command-line front end loads them, and the
+experiment harnesses, only in the commands that use them."""
 
 import json
 import os
@@ -42,6 +43,26 @@ def test_import_and_ring_construction_stay_lean():
     assert "ringcc.ring" in report["loaded"]
     assert [m for m in UNWANTED if m in report["loaded"]] == []
     assert report["same"]
+
+
+CLI_CODE = """\
+import json, sys
+import ringcc
+before = set(sys.modules)
+import ringcc.cli
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_cli_import_loads_no_engine_reference_or_harness():
+    src = str(Path(ringcc.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-c", CLI_CODE], capture_output=True,
+                          text=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    loaded = json.loads(done.stdout)
+    assert "ringcc.cli" in loaded
+    unwanted = ("ringcc.pipeline", "queue", "ringcc.multipass", "ringcc.experiments")
+    assert [m for m in unwanted if m in loaded] == []
 
 
 def test_an_unknown_name_is_still_an_attribute_error():

@@ -199,6 +199,43 @@ def test_full_tail_still_signals_failure():
     assert [type(x) for x in out.payload] == [FailSignal]
 
 
+def test_full_tail_signal_spills_the_last_edge_into_the_primary_slot():
+    # at k = 2 the signal takes the only payload slot, so the edge riding on
+    # moves to the primary one
+    proc = full_processor(2, [(1, 2), (3, 4)], k=2)
+    a, b = LabeledEdge(5, 6, lu=1, lv=1), LabeledEdge(7, 8)
+    out = proc.process_bundle(Bundle(a, [b]))
+    assert out.primary is b and [type(x) for x in out.payload] == [FailSignal]
+    assert out.payload[0].edge is a
+
+
+def test_sealed_tail_signals_failure_for_edges_it_resolves():
+    proc = full_processor(2, [((1, 2), TREE), ((2, 3), TREE)])
+    proc.sealed = True
+    a, b, c = LabeledEdge(1, 3), LabeledEdge(4, 5), LabeledEdge(6, 7, lu=1, lv=1)
+    out = proc.process_bundle(Bundle(a, [b, c]))
+    # a relabels to equal labels and c arrives so: each signals in its place
+    assert out.primary is None
+    assert [type(x) for x in out.payload] == [FailSignal, LabeledEdge, FailSignal]
+    assert [x.edge for x in out.payload[::2]] == [a, c] and out.payload[1] is b
+
+
+def test_tail_starts_the_policy_in_a_free_payload_slot():
+    # this ring's tail starts its policy once it stores one edge
+    ring = Ring(cfg(p=3, s=5, k=3, auto_age_c=0.5))
+    proc = ring.processors[2]
+    assert proc.monitor.trigger_stored == 1
+    out = proc.process_bundle(Bundle(None, [LabeledEdge(1, 2, lu=0, lv=0)]))
+    assert out.primary is None and [type(x) for x in out.payload] == [StatsProbe]
+    assert proc.stored == 1 and not proc.outq
+    # with every payload slot taken, the probe waits for the next tick
+    proc = Ring(cfg(p=3, s=5, k=3, auto_age_c=0.5)).processors[2]
+    proc._accept(LabeledEdge(1, 2, t=10), NONTREE)
+    bundle = Bundle(None, [LabeledEdge(3, 4), LabeledEdge(5, 6)])
+    assert proc.process_bundle(bundle).payload == bundle.payload
+    assert [type(x) for x in proc.outq] == [StatsProbe]
+
+
 def test_full_builder_still_relabels():
     proc = full_processor(1, [((1, 2), TREE), (3, 4), (5, 6)])
     proc.is_builder = True
@@ -267,10 +304,14 @@ def test_open_space_forwards_edges_whose_labels_differ():
 
 
 @pytest.mark.parametrize("path", ["transit", "general"])
-def test_constant_queries_update_as_on_the_general_path(monkeypatch, path):
-    if path == "general":
-        monkeypatch.setattr(Processor, "_transit", lambda proc, b: None)
-    proc = sealed_processor()
+def test_constant_queries_update_as_on_the_general_path(path):
+    def on_path(proc):
+        # the builder takes the general path, which answers queries too
+        if path == "general":
+            proc.is_builder, proc.sealed = True, False
+        return proc
+
+    proc = on_path(sealed_processor())
     met, apart, done = ConnQuery(0, 3, 2, 0), ConnQuery(1, 3, 9, 0), ConnQuery(2, 3, 3, 0)
     for q in (met, apart, done):
         assert proc.process_bundle(Bundle(q)).primary is q
@@ -278,7 +319,7 @@ def test_constant_queries_update_as_on_the_general_path(monkeypatch, path):
     assert (apart.lu, apart.lv, apart.answer) == (1, 9, False)
     assert (done.lu, done.lv, done.answer) == (3, 3, True)  # answered: untouched
     # a count adds what is stored before the bundle's own edges settle
-    proc = open_processor([(1, 2)])
+    proc = on_path(open_processor([(1, 2)]))
     q = CountQuery(3, 0)
     q.n = 5
     out = proc.process_bundle(Bundle(q, [LabeledEdge(5, 6, lu=0, lv=0)]))
@@ -367,15 +408,28 @@ def test_aging_relay_tests_its_own_edges_after_the_payload(monkeypatch):
     assert proc.dup.keys() == {(1, 2)} and proc.aging
 
 
+def test_aging_relay_at_a_sealed_processor_forwards_and_tests(monkeypatch):
+    # a ring seals a processor only once the loader has passed it, so this
+    # state is built by hand: aging comes first, so the hop forwards the edge
+    # unchanged, as the general path would, and then tests k-1 edges
+    proc = aging_processor()
+    proc.sealed = True
+    proc.lc.union(11, 13)
+    e = LabeledEdge(11, 13)
+    b = Bundle(None, [e])
+    out, hop = through_hop(monkeypatch, proc, b)
+    assert hop and out is b and (e.lu, e.lv) == (11, 13)
+    assert len(proc.unresolved) == 4 and len(proc.untested) == 1
+
+
 @pytest.mark.parametrize("prepare, b", [
     (lambda proc: setattr(proc, "is_loader", True), Bundle(None, [LabeledEdge(11, 12)])),
-    (lambda proc: setattr(proc, "sealed", True), Bundle(None, [LabeledEdge(11, 12)])),
     (lambda proc: proc.outq.append(StatsProbe(1)), Bundle(None, [LabeledEdge(11, 12)])),
     (None, Bundle(LabeledEdge(11, 12), [LabeledEdge(13, 14)])),
     (None, Bundle(None, [LabeledEdge(11, 12)], builder_token=True)),
     (None, Bundle(None, [LabeledEdge(11, 12), StatsProbe(1)])),
     (None, Bundle(None, [LabeledEdge(11, 12), LOADER_TOKEN])),
-], ids=["loader", "sealed", "outq", "primary-edge", "builder-token",
+], ids=["loader", "outq", "primary-edge", "builder-token",
         "probe-payload", "loader-token-payload"])
 def test_aging_relay_declines_other_bundles(monkeypatch, prepare, b):
     proc = aging_processor()

@@ -10,6 +10,7 @@ from ringcc.ring import IOJunction, Ring, RingConfig, SystemFailed, Violation
 from ringcc.streams import gen_uniform
 
 from test_idle_skip import drain_padding, mixed_items
+from util import audit_scan
 
 
 def cfg(**kw):
@@ -227,7 +228,7 @@ def path_ring(edges, p=3, s=5, k=3):
 
 def planted(ring):
     found = ring.audit_invariants()
-    assert found == ring._audit_scan()
+    assert found == audit_scan(ring)
     return [(v.kind, v.index, v.detail) for v in found]
 
 

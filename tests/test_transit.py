@@ -1,20 +1,24 @@
-"""A processor with no work of its own takes the transit hop.
+"""The transit hop holds the only rules for an edge at a processor that is
+neither the builder nor the loader.
 
-Such a processor is not the builder, not aging, not the tail, has nothing
-queued and gets no builder token. `Processor.process_bundle` hands it any
-bundle of edges, behind an optional connectivity or count query, and
-`Processor._transit` does slot by slot what the general path would: absorb
-duplicates, relabel at a sealed processor, settle equal-label edges while
-space lasts, update the query, and forward the rest in its slot. An aging
-processor that is not the loader, the tail included, takes the same hop for
-a bundle of payload edges: it absorbs duplicates, forwards every other edge,
-and then tests k-1 of its own edges. The general path is the reference: with
-the hop declined, every stream must give the same transcript, taps, stores
-and deletion log. The hops are counted by kind (sealed relabel, settle,
-constant query, full relay, aging relay) so that each kind is known to be
-exercised.
+`Processor._transit` absorbs a duplicate (the newer timestamp wins),
+relabels at a sealed processor, settles an equal-label edge while space
+lasts, and otherwise forwards the edge in its slot; a full tail sends a
+`FailSignal` where it would have settled. `Processor.process_bundle` hands it
+whole bundles of edges, behind an optional connectivity or count query, from
+a processor with no work of its own, and an aging processor's payload edges,
+after which that processor tests k-1 of its own edges. The general path
+hands it the rest of such edges one slot at a time.
+
+The same rules once also ran on the general path. The digests pinned below
+were recorded from that copy with the hop switched off, and the hop gave the
+same ones: the transcript, taps, stores and deletion log of every stream,
+and the failure that ended it, if any. The hops are counted by kind (sealed
+relabel, settle, constant query, full relay, aging relay) so that each kind
+is known to be exercised.
 """
 
+import hashlib
 import random
 from collections import Counter
 
@@ -25,20 +29,28 @@ from ringcc.ring import Ring, RingConfig, SystemFailed
 
 from test_idle_skip import drain_padding, mixed_items
 
-
-def run(cfg, items):
-    """The ring after the stream, and the failure that ended it early, if
-    any: a ring this small can exhaust its storage during a rebuild."""
-    ring = Ring(RingConfig(validate=True, taps=True, **cfg))
-    try:
-        ring.run_stream(items, drain=False)
-    except SystemFailed as e:
-        return ring, str(e)
-    return ring, None
+# (p, k) -> SHA-256 of the run, and its failure
+PINNED = {
+    (1, 2): ("7451f6815f5d8935514c3b3b6b62326c410ad2a3de3a2f7f3f766a54056d5a74", None),
+    (1, 3): ("31e8399259543dcfcac8f1838b83ca4bda922adf54c0c6d6679c16b80b143c3e", None),
+    (1, 5): ("7204c1e8a01fb248e573e8ab54b8431968724f97419dfb96a3fffd2311ccbef6", None),
+    (2, 2): ("475e30ba62fa2fa184def3a40df50c7db06bf6ea48f4f6ef804e57ead1bd0c19", None),
+    (2, 3): ("9fc01671e5b2cee7b00cae708e6c72e53fd2ba2efa57a2856f4aef09e5fb4943", None),
+    (2, 5): ("27790c307425d12726b97f6242b5af76b320550625096bfa9bd97ea932590904", None),
+    (5, 2): ("527273c0c6735a6819451de79f3f65d7caf3e6afa959219faa3d56f48593040d", None),
+    (5, 3): ("bf14633f5ec7240c78c686a2c39c0d346b2f31c48c693928b6634fb0c1f50a90", None),
+    (5, 5): ("78f8b7ca60263dd647f368567a83ca55a4b3b61d88eda18c5b2c404d11b93f4d", None),
+    (10, 2): ("77f6babddac87bb64836d0d2cc5bd0332b35228709c8c68ba3f489107ce3fd9a",
+              "tick 1761: storage exhausted at processor 9"),
+    (10, 3): ("c84f5bc32eaa5a30f492c76751a1eab2807c408f7bf26e6fa5e2971f3aaddef3", None),
+    (10, 5): ("42f7799acf29140409ff7f70d3a5729931a3dae4dafe530884c039202ffb98a1", None),
+}
+PINNED_FULL_TAIL = ("ea75673e50652770c1009f295062afac5302f690823b6c474da2ea41889f2397",
+                    "tick 44: storage exhausted at processor 3")
 
 
 def hop_kind(proc, b):
-    """Which transit hop a non-empty bundle at `proc` would take."""
+    """Which transit hop a non-empty bundle at `proc` takes."""
     if proc.aging:
         return "aging"
     if type(b.primary) in (ConnQuery, CountQuery):
@@ -48,13 +60,9 @@ def hop_kind(proc, b):
     return "settle" if proc.stored < proc.s else "relay"
 
 
-def run_both(monkeypatch, cfg, items):
-    """Run the stream with the transit hop declined, then as is; both runs
-    must agree. Returns the failure, if any, and the hops taken by kind."""
-    case = str(cfg)
-    monkeypatch.setattr(Processor, "_transit", lambda proc, b: None)
-    ref, ref_failed = run(cfg, items)
-    monkeypatch.undo()
+def run_pinned(monkeypatch, cfg, items):
+    """The digest of the run and its failure, if any (a ring this small can
+    exhaust its storage during a rebuild), and the hops taken by kind."""
     transit = Processor._transit
     hops = Counter()
 
@@ -66,17 +74,19 @@ def run_both(monkeypatch, cfg, items):
         return out
 
     monkeypatch.setattr(Processor, "_transit", counted)
-    fast, failed = run(cfg, items)
+    ring = Ring(RingConfig(validate=True, taps=True, **cfg))
+    failed = None
+    try:
+        ring.run_stream(items, drain=False)
+    except SystemFailed as e:
+        failed = str(e)
     monkeypatch.undo()
-
-    assert failed == ref_failed, case
-    assert ref.violations == [] and fast.violations == [], case
-    assert fast.transcript.text() == ref.transcript.text(), case
-    assert fast.tap_edges == ref.tap_edges, case
-    assert fast.tap_dump == ref.tap_dump, case
-    assert fast.stored_edges() == ref.stored_edges(), case
-    assert fast.aging_log == ref.aging_log, case
-    return failed, hops
+    assert ring.violations == [], cfg
+    digest = hashlib.sha256()
+    for part in (ring.transcript.text(), ring.tap_edges, ring.tap_dump,
+                 sorted(ring.stored_edges().items()), ring.aging_log):
+        digest.update(repr(part).encode())
+    return (digest.hexdigest(), failed), hops
 
 
 def test_transit_matches_general_path(monkeypatch):
@@ -90,8 +100,10 @@ def test_transit_matches_general_path(monkeypatch):
             s = max(12, 90 // p)
             items = [AutoAge(0.5)] + mixed_items(rng, 650, 20) + drain_padding(p, s, k)
             assert sum(type(it) is Arrival for it in items) >= 3 * p * s
-            hops += run_both(monkeypatch, dict(p=p, s=s, k=k, seed=p, search_circuits=2),
-                             items)[1]
+            got, taken = run_pinned(monkeypatch, dict(p=p, s=s, k=k, seed=p,
+                                                      search_circuits=2), items)
+            assert got == PINNED[p, k], (p, k)
+            hops += taken
     for kind in ("sealed", "settle", "query", "relay", "aging"):
         assert hops[kind] >= 500, hops
 
@@ -102,7 +114,7 @@ def test_full_tail_fails_on_the_same_tick(monkeypatch):
     rng = random.Random(5)
     pairs = [(u, v) for u in range(12) for v in range(u + 1, 12)]
     rng.shuffle(pairs)
-    failed, hops = run_both(monkeypatch, dict(p=4, s=10, k=3),
-                            [Arrival(u, v) for u, v in pairs])
-    assert failed is not None and "storage exhausted" in failed
+    got, hops = run_pinned(monkeypatch, dict(p=4, s=10, k=3),
+                           [Arrival(u, v) for u, v in pairs])
+    assert got == PINNED_FULL_TAIL
     assert hops["relay"] > 0
