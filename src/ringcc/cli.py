@@ -8,10 +8,11 @@
 Query results print as "<tick> OUT q<id> <result>"; other boundary events as
 "<tick> EVT ...". Exit status 2 means the run died with storage exhausted;
 the failing tick goes to stderr. Exit status 3 means `--validate` recorded
-violations, which go to stderr too; when a run has both, stderr holds both
-and the status is 3. `--engine pipelined` (one thread per processor) drains
-and writes `--metrics` like the lockstep engine but refuses `--validate`
-with exit status 1: concurrent processors cannot run the auditor. Likewise
+violations, which go to stderr too (the first 50, then a count of the
+rest); when a run has both, stderr holds both and the status is 3.
+`--engine pipelined` (one thread per processor) drains and writes
+`--metrics` like the lockstep engine but refuses `--validate` with exit
+status 1: concurrent processors cannot run the auditor. Likewise
 `run` refuses, with exit status 1, `--reservoir`, `--auto-age-margin` and
 `--seed` (which seeds only the policy's samples) when neither
 `--auto-age-c` nor an AUTOAGE line arms the automatic policy; `gen` refuses
@@ -37,6 +38,7 @@ from .streams import (
     parse_stream_file,
 )
 
+SHOWN_VIOLATIONS = 50  # violations `run --validate` prints before counting the rest
 METRICS_HEADER = ["tick", "mode", "stored_total", "tree_total", "nontree_total",
                   "untested_total", "unresolved_total", "builder_index",
                   "loader_index", "free_space"]
@@ -126,8 +128,11 @@ def cmd_run(args):
             writer.writerows(ring.metrics)
     status = 0
     if args.validate and ring.violations:
-        for v in ring.violations[:50]:
+        for v in ring.violations[:SHOWN_VIOLATIONS]:
             print(f"violation tick={v.tick} {v.kind} p{v.index}: {v.detail}",
+                  file=sys.stderr)
+        if len(ring.violations) > SHOWN_VIOLATIONS:
+            print(f"{len(ring.violations) - SHOWN_VIOLATIONS} more violations not shown",
                   file=sys.stderr)
         status = 3
     if failure is not None:

@@ -6,32 +6,37 @@ their way to the builder; duplicates are absorbed wherever their stored copy
 lives; non-tree edges settle into the first open space. During bulk deletion
 the same driver additionally runs the testing and recycling phases.
 
-The rules for an edge at a processor that is neither the builder nor the
-loader live in one place, the transit hop (`Processor._transit`):
+The rules for an edge at a processor that is not the loader live in one
+place, the transit hop (`Processor._transit`):
 
 - a duplicate is absorbed and the stored copy keeps the newer timestamp;
-- while aging, the loader has not reached the processor, so it stores no
-  edge: every other edge rides on in its slot whatever its labels;
-- a sealed processor holds s tree edges, so it is full and cannot store:
-  it relabels an edge whose labels differ through its union-find, leaves an
-  already resolved one (equal labels) alone, and forwards either in its slot;
-- any other such processor is strictly downstream of the builder and has no
-  connectivity information: an edge with equal labels settles as non-tree
-  while space lasts, and every other edge rides on in its slot. Outside a
-  deletion it holds no unresolved edge that a full store could trade;
+- while aging, a processor that is neither the builder nor the loader has
+  not been reached by the loader, so it stores no edge: every edge rides on
+  in its slot whatever its labels;
+- the builder and a sealed processor relabel an edge whose labels differ
+  through their union-find, and leave an already resolved one (equal
+  labels) alone. No other processor holds connectivity information;
+- an edge with equal labels settles as non-tree while space lasts, and
+  otherwise rides on in its slot. A sealed processor holds s tree edges, so
+  it is full and cannot store. Only a deletion leaves a full store holding
+  an unresolved or untested edge that the builder can trade;
+- at the builder, an edge whose labels still differ is a tree edge. A full
+  builder makes room for it by evicting its newest non-tree edge, which
+  rides on in the next payload slot. At s tree edges the builder seals, and
+  its output carries the builder token;
 - a full tail sends a `FailSignal` where it would have settled an edge.
 
-A processor with no work of its own (not the builder or the loader, nothing
-queued, no builder token arriving) hands the hop a whole bundle of edges.
-Outside a deletion a connectivity or count query may ride in the primary
-slot, and the hop relabels its endpoints and answers it once they meet, or
-adds the stored count; at the tail the automatic policy may then start.
-While aging the primary slot must be empty, and after the payload the
+A processor with nothing queued and no builder token arriving hands the hop
+a whole bundle of edges, unless it is the builder or the loader during a
+deletion. Outside a deletion a connectivity or count query may ride in the
+primary slot, and the hop relabels its endpoints and answers it once they
+meet, or adds the stored count; at the tail the automatic policy may then
+start. While aging the primary slot must be empty, and after the payload the
 processor tests k-1 of its own untested edges. Every other bundle takes the
-general path, which hands the hop such edges one slot at a time outside a
-deletion. Its own edge code covers the builder, the loader, and an aging
-processor's edges, whose primary edge may settle unresolved for the loader
-to recycle.
+general path, which hands the hop the builder's edges, and outside a
+deletion everyone's, one slot at a time. Its own edge code covers only the
+loader and an aging processor's primary edge, which may settle unresolved
+for the loader to recycle.
 """
 
 from __future__ import annotations
@@ -186,7 +191,7 @@ class Processor:
     # ------------------------------------------------------------------ tick
 
     def process_bundle(self, b):
-        if not (self.is_builder or self.outq or b.builder_token):
+        if not (self.outq or b.builder_token):
             out = self._transit(b)
             if out is not None:
                 monitor = self.monitor
@@ -196,7 +201,7 @@ class Processor:
                 # free payload slot, or waits in the queue
                 probe = monitor.start()
                 if len(out.payload) < self.k - 1:
-                    return Bundle(out.primary, [*out.payload, probe])
+                    return Bundle(out.primary, [*out.payload, probe], out.builder_token)
                 self.outq.append(probe)
                 return out
         pk = self._pk
@@ -227,68 +232,76 @@ class Processor:
         return pk.bundle()
 
     def _transit(self, b):
-        """The only rules for an edge at a processor that is neither the
-        builder nor the loader, slot by slot. `process_bundle` hands it a
-        whole bundle from such a processor when nothing is queued and no
-        builder token arrives; `_process_edge` hands it one edge at a time
-        outside a deletion.
+        """The only rules for an edge at a processor that is not the loader,
+        slot by slot. `process_bundle` hands it a whole bundle when nothing
+        is queued and no builder token arrives; `_process_edge` hands it one
+        edge at a time from the builder, and from any other processor outside
+        a deletion.
 
         Returns None, leaving the bundle to the general path, when a payload
         slot holds anything but an edge or the primary slot anything but an
-        edge or a connectivity or count query; while aging, for the loader or
-        an occupied primary slot; and when a full tail would signal for the
-        primary edge of a bundle whose payload slots are all taken. An aging
-        processor tests k-1 of its own edges after relaying the payload, as
-        `_aging_phase` would."""
+        edge or a connectivity or count query; and while aging, for a whole
+        bundle at the builder or the loader, or with an occupied primary
+        slot. An aging processor tests k-1 of its own edges after relaying
+        the payload, as `_aging_phase` would."""
         prim = b.primary
         payload = b.payload
         for e in payload:
             if type(e) is not LabeledEdge:
                 return None
-        aging = self.aging
+        builder = self.is_builder
+        relay = self.aging
         tp = type(prim)
-        if aging:
-            # the head is the loader for as long as it ages, so this is a
-            # processor downstream of the loader
-            if prim is not None or self.is_loader:
+        if relay:
+            if builder:
+                # the builder ages only as the loader, whose own work runs on
+                # the general path: that hands the hop one edge at a time
+                if b is not self._one:
+                    return None
+                relay = False
+            elif prim is not None or self.is_loader:
                 return None
         elif not (prim is None or tp is LabeledEdge or tp is ConnQuery or tp is CountQuery):
             return None
         dup = self.dup
-        # the union-find's block -> component map, read inline (see unionfind)
+        # the union-find's block -> component map, read inline (see
+        # unionfind); only the builder and a sealed processor hold one
         sets = self.lc.sets
-        sealed = self.sealed
         changed = False
+        token = False
         fwd = []
+        first = None
         if tp is LabeledEdge:
-            rec = dup.get(prim.ck)
-            if rec is not None:
-                if prim.t > rec.t:
-                    rec.t = prim.t
+            if builder:
+                # the builder's rules below take the primary edge first, and
+                # put it back in its slot if it rides on
+                first = prim
+                payload = (prim, *payload)
                 prim = None
-                changed = True
             else:
-                if sealed:
-                    if prim.lu != prim.lv:
+                rec = dup.get(prim.ck)
+                if rec is not None:
+                    if prim.t > rec.t:
+                        rec.t = prim.t
+                    prim = None
+                    changed = True
+                else:
+                    if prim.lu != prim.lv and sets:
                         c = sets.get(prim.lu)
                         if c is not None:
                             prim.lu = c.name
                         c = sets.get(prim.lv)
                         if c is not None:
                             prim.lv = c.name
-                elif prim.lu == prim.lv and self.stored < self.s:
-                    self._accept(prim, NONTREE)
-                    prim = None
-                    changed = True
-                if prim is not None and prim.lu == prim.lv and self.is_tail:
-                    # the general path packs a full tail's signal into the
-                    # first payload slot, where the junction reads it first,
-                    # and then spills the k-th slot into the primary one
-                    if len(payload) == self.k - 1:
-                        return None
-                    fwd.append(FailSignal(prim, self.index))
-                    prim = None
-                    changed = True
+                    if prim.lu == prim.lv:
+                        if self.stored < self.s:
+                            self._accept(prim, NONTREE)
+                            prim = None
+                            changed = True
+                        elif self.is_tail:
+                            fwd.append(FailSignal(prim, self.index))
+                            prim = None
+                            changed = True
         elif tp is ConnQuery:
             # an empty union-find, as downstream of the builder, relabels
             # nothing, and whoever changed the labels last compared them
@@ -309,38 +322,85 @@ class Processor:
                 if e.t > rec.t:
                     rec.t = e.t
                 changed = True
-            elif aging:
+                continue
+            if relay:
                 fwd.append(e)
-            elif sealed:
-                if e.lu != e.lv:
-                    c = sets.get(e.lu)
-                    if c is not None:
-                        e.lu = c.name
-                    c = sets.get(e.lv)
-                    if c is not None:
-                        e.lv = c.name
-                if e.lu == e.lv and self.is_tail:
+                continue
+            if e.lu != e.lv and sets:
+                c = sets.get(e.lu)
+                if c is not None:
+                    e.lu = c.name
+                c = sets.get(e.lv)
+                if c is not None:
+                    e.lv = c.name
+            if e.lu == e.lv:
+                # resolved: it settles while there is space
+                if self.stored < self.s:
+                    self._accept(e, NONTREE)
+                elif self.is_tail:
                     fwd.append(FailSignal(e, self.index))
-                    changed = True
-                else:
+                elif not builder:
                     fwd.append(e)
-            elif e.lu != e.lv:
-                fwd.append(e)
-            elif self.stored < self.s:
-                self._accept(e, NONTREE)
+                    continue
+                elif self.aging and self._room_in_deletion(fwd.append):
+                    self._accept(e, NONTREE)
+                else:
+                    if e is first:
+                        prim = e
+                    else:
+                        fwd.append(e)
+                    continue
                 changed = True
+                continue
+            if not builder:
+                fwd.append(e)
+                continue
+            # a tree edge: the builder makes room for it if it can
+            changed = True
+            if self.stored < self.s:
+                self._accept(e, TREE)
             elif self.is_tail:
                 fwd.append(FailSignal(e, self.index))
-                changed = True
+            elif self.aging and self._room_in_deletion(fwd.append):
+                self._accept(e, TREE)
+            elif self.nontree:
+                # the newest non-tree edge keeps its equal labels and settles
+                # downstream
+                ep = self.nontree.pop()
+                self._drop(ep)
+                fwd.append(ep)
+                self._accept(e, TREE)
             else:
-                fwd.append(e)
-        if aging and self.untested:
+                # legal only for a builder whose seal is waiting on its loader
+                # duty; otherwise sealing should have happened first
+                if not self.seal_pending and self.hooks is not None:
+                    self.hooks.violation("tree-jettison-missing", self.index,
+                                         f"full of tree edges, got {e!r}")
+                e.reset_labels()
+                if e is first:
+                    prim = e
+                else:
+                    fwd.append(e)
+            if len(self.tree) >= self.s:
+                if self.is_loader:
+                    # builder duty must not overtake the loader: both tokens
+                    # leave together once recycling here is done
+                    self.seal_pending = True
+                else:
+                    token = True
+                    builder = self.is_builder = False
+                    self.sealed = True
+        if relay and self.untested:
             self._downstream_testing()
         if not changed:
             return b
-        if prim is None and not fwd:
+        if len(fwd) == self.k:
+            # every payload slot is taken: the last item spills into the
+            # free primary slot, as the general path's `Packer` packs it
+            prim = fwd.pop()
+        if prim is None and not fwd and not token:
             return EMPTY_BUNDLE
-        return Bundle(prim, fwd)
+        return Bundle(prim, fwd, token)
 
     # ------------------------------------------------------- slot dispatch
 
@@ -490,7 +550,7 @@ class Processor:
     # ------------------------------------------------- constituent functions
 
     def _process_edge(self, e, primary, pk):
-        if not (self.is_builder or self.aging):
+        if self.is_builder or not self.aging:
             # one reused bundle per processor: the hop may hand it back, and
             # its slots are read out before the next edge
             one = self._one
@@ -500,6 +560,8 @@ class Processor:
                 pk.set_primary(out.primary)
             for item in out.payload:
                 pk.pack(item)
+            if out.builder_token:
+                pk.builder_token = True
             return
         rec = self.dup.get(e.ck)
         if rec is not None:
@@ -507,10 +569,6 @@ class Processor:
             # timestamp (during aging either side could be newer)
             if e.t > rec.t:
                 rec.t = e.t
-            return
-        if self.is_builder:
-            if e.lu == e.lv or not self._potential_tree_edge(e, primary, pk):
-                self._store_or_forward(e, primary, NONTREE, pk)
         elif primary or e.lu == e.lv and self.is_loader:
             # aging behind the builder, with no connectivity information: an
             # unresolved primary edge may settle as such, for the loader to
@@ -520,82 +578,40 @@ class Processor:
         else:
             pk.pack(e)
 
-    def _potential_tree_edge(self, e, primary, pk):
-        """Relabel at the builder; False means the edge just revealed itself
-        as non-tree, and otherwise it is stored as a tree edge."""
-        sets = self.lc.sets
-        c = sets.get(e.lu)
-        if c is not None:
-            e.lu = c.name
-        c = sets.get(e.lv)
-        if c is not None:
-            e.lv = c.name
-        if e.lu == e.lv:
-            return False
-        # the store can only bounce while untested edges pin the space; the
-        # edge then overflows unresolved and retries via the head
-        self._store_or_forward(e, primary, TREE, pk)
-        if len(self.tree) >= self.s:
-            if self.is_loader:
-                # builder duty must not overtake the loader: both tokens
-                # leave together once recycling here is done
-                self.seal_pending = True
-            else:
-                pk.builder_token = True
-                self.is_builder = False
-                self.sealed = True
-        return True
-
     def _store_or_forward(self, e, primary, cls, pk):
         if self.stored >= self.s:
             if self.is_tail:
                 pk.pack(FailSignal(e, self.index))
                 return
-            if cls == UNRESOLVED:
+            if cls == UNRESOLVED or not self._room_in_deletion(pk.pack):
                 if primary:
                     pk.set_primary(e)
                 else:
                     pk.pack(e)
                 return
-            ep = self._jettison_unresolved()
-            if ep is not None:
-                ep.reset_labels()  # recycles through the head as a fresh edge
-                pk.pack(ep)
-            elif self.aging and self.untested:
-                # no unresolved pool yet (mid-rebuild): test one pinned edge
-                # right now; a failure frees the slot outright, a survivor
-                # becomes the evictee and recycles like any unresolved edge
-                ep = self.untested.popleft()
-                self._drop(ep)
-                if self.predicate(ep):
-                    ep.reset_labels()
-                    pk.pack(ep)
-                else:
-                    self.deletions += 1
-            else:
-                if cls == NONTREE:
-                    # no need to evict anything to keep a non-tree edge
-                    if primary:
-                        pk.set_primary(e)
-                    else:
-                        pk.pack(e)
-                    return
-                ep = self._jettison_nontree()
-                if ep is None:
-                    # a tree candidate with nothing evictable: legal only for
-                    # a builder whose seal is waiting on its loader duty;
-                    # otherwise sealing should have happened first
-                    if not self.seal_pending and self.hooks is not None:
-                        self.hooks.violation("tree-jettison-missing", self.index,
-                                             f"full of tree edges, got {e!r}")
-                    e.reset_labels()
-                    if primary:
-                        pk.set_primary(e)
-                    else:
-                        pk.pack(e)
-                    return
-                pk.pack(ep)  # keeps its equal labels; settles downstream
         self._accept(e, cls)
+
+    def _room_in_deletion(self, put):
+        """Room in a full store that only a deletion creates: the newest
+        unresolved edge leaves, or, before an unresolved pool exists, one
+        pinned untested edge is tested right now. A failure frees the slot
+        outright; a survivor leaves like an unresolved edge, through `put`,
+        and recycles through the head as a fresh edge. False when neither
+        is there."""
+        if self.unresolved:
+            ep = self.unresolved.pop()  # most recently stored first
+            self._drop(ep)
+        elif self.untested:
+            ep = self.untested.popleft()
+            self._drop(ep)
+            if not self.predicate(ep):
+                self.deletions += 1
+                return True
+        else:
+            return False
+        ep.reset_labels()
+        put(ep)
+        return True
 
     # --------------------------------------------------------- store helpers
 
@@ -624,20 +640,6 @@ class Processor:
         self.stored -= 1
         if self.hooks is not None:
             self.hooks.removed(key, self.index)
-
-    def _jettison_unresolved(self):
-        if not self.unresolved:
-            return None
-        e = self.unresolved.pop()  # most recently stored first
-        self._drop(e)
-        return e
-
-    def _jettison_nontree(self):
-        if not self.nontree:
-            return None
-        e = self.nontree.pop()
-        self._drop(e)
-        return e
 
     # ------------------------------------------------------------- aging
 

@@ -485,16 +485,21 @@ class IOJunction:
     def _admit(self, tick, item):
         """One stream item's effect at the head: the primary slot it fills,
         or None once it is answered or dropped here."""
+        t = type(item)
         ts = self.transcript
-        if item is None or type(item) is Idle:
+        if t is Arrival:
+            # the common item, admitted first: its IN record is
+            # `Transcript.record_in`'s, inlined
+            if self.config.record_inputs:
+                ts._ticks.append(tick)
+                ts._records.append(item)
+            return LabeledEdge(item.u, item.v, item.u, item.v, tick)
+        if item is None or t is Idle:
             if self.config.record_inputs:
                 ts.record_in(tick, IDLE)
             return None
-        t = type(item)
         if self.config.record_inputs:
             ts.record_in(tick, item if t in _VALUE_ITEMS else _Rendered(item.render()))
-        if t is Arrival:
-            return LabeledEdge(item.u, item.v, t=tick)
         if t in (Connectivity, EdgeCount, MaxComponent, SmallComponents,
                  SpanningTree, DumpLabels):
             qid = self._qid()

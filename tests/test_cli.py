@@ -302,3 +302,21 @@ def test_run_reports_failure_and_violations(tmp_path, capsys, monkeypatch):
     assert rc == 3
     assert "violation tick=0 tree-prefix p0: planted" in err
     assert any(line.startswith("FAILED at tick") for line in err)
+
+
+def test_run_counts_the_violations_it_does_not_print(tmp_path, capsys, monkeypatch):
+    planted = [Violation(0, "tree-prefix", 0, f"planted {i}") for i in range(60)]
+
+    def audit(ring):
+        found = planted[:]
+        planted.clear()
+        return found
+
+    monkeypatch.setattr(Ring, "audit_invariants", audit)
+    stream = write(tmp_path, "s.txt", "E 1 2\nE 2 3\n")
+    rc = main(["run", stream, "-p", "2", "-s", "4", "-k", "2", "--validate", "--quiet"])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 3
+    assert [line for line in err if line.startswith("violation")] == [
+        f"violation tick=0 tree-prefix p0: planted {i}" for i in range(50)]
+    assert err[-1] == "10 more violations not shown"

@@ -157,10 +157,10 @@ def test_store_counts_follow_moves():
         assert pr.stored == len(pr.dup)
 
 
-def full_processor(index, stored, **kw):
+def full_processor(index, stored, s=None, **kw):
     """Processor `index` of a three-position ring, filled with `stored`
-    (pairs, or (pair, class)) at timestamp 10."""
-    ring = Ring(cfg(p=3, s=len(stored), **kw))
+    (pairs, or (pair, class)) at timestamp 10; `s` leaves room for more."""
+    ring = Ring(cfg(p=3, s=s or len(stored), **kw))
     proc = ring.processors[index]
     for entry in stored:
         (u, v), cls = entry if type(entry[0]) is tuple else (entry, NONTREE)
@@ -247,6 +247,81 @@ def test_full_builder_still_relabels():
     assert out.primary is None and [x.key() for x in out.payload] == [(5, 6)]
 
 
+def builder(index, stored, **kw):
+    """`full_processor`, made the builder."""
+    proc = full_processor(index, stored, **kw)
+    proc.is_builder = True
+    return proc
+
+
+def test_builder_leaves_equal_labels_alone():
+    proc = builder(1, [((1, 2), TREE)], s=4)
+    resolved = LabeledEdge(3, 4, lu=2, lv=2, t=11)  # 2 is in the component named 1
+    loop = LabeledEdge(5, 5, t=11)
+    out = proc.process_bundle(Bundle(resolved, [loop]))
+    assert out is EMPTY_BUNDLE
+    assert proc.nontree == [resolved, loop]
+    assert (resolved.lu, resolved.lv, loop.lu, loop.lv) == (2, 2, 5, 5)
+    # the stored self-loop is still this processor's claim on vertex 5
+    assert proc._orphan_candidates() == [5]
+
+
+def test_builder_seals_mid_bundle_and_relabels_the_rest_as_sealed():
+    proc = builder(1, [((1, 2), TREE), ((2, 3), TREE)], s=3)
+    tree = LabeledEdge(3, 4, t=11)
+    resolved, apart = LabeledEdge(4, 1, t=11), LabeledEdge(2, 9, t=11)
+    out = proc.process_bundle(Bundle(tree, [resolved, apart]))
+    assert out.builder_token
+    assert proc.sealed and not proc.is_builder and proc.tree[-1] is tree
+    # the rest of the bundle is relabeled and forwarded, never stored
+    assert out.primary is None and list(out.payload) == [resolved, apart]
+    assert [(e.lu, e.lv) for e in (resolved, apart)] == [(1, 1), (1, 9)]
+    assert proc.stored == 3
+
+
+def test_full_builder_spills_an_evictee_into_the_primary_slot():
+    # k = 3: the primary edge's evictee and the forwarded resolved edge take
+    # both payload slots, so the second evictee lands in the primary one
+    proc = builder(1, [((1, 2), TREE), (5, 6), (7, 8), (9, 10)], k=3)
+    first, resolved, second = (LabeledEdge(2, 20, t=11), LabeledEdge(30, 31, lu=0, lv=0, t=11),
+                               LabeledEdge(1, 21, t=11))
+    out = proc.process_bundle(Bundle(first, [resolved, second]))
+    assert [x.key() for x in out.payload] == [(9, 10), (30, 31)]
+    assert out.primary.key() == (7, 8)
+    assert proc.tree[1:] == [first, second] and [e.key() for e in proc.nontree] == [(5, 6)]
+    assert not out.builder_token and proc.is_builder
+
+
+def test_full_builder_at_the_tail_signals_failure():
+    proc = builder(2, [((1, 2), TREE), (3, 4)])
+    tree, resolved = LabeledEdge(2, 9, t=11), LabeledEdge(5, 6, lu=0, lv=0, t=11)
+    out = proc.process_bundle(Bundle(tree, [resolved]))
+    assert out.primary is None
+    assert [type(x) for x in out.payload] == [FailSignal, FailSignal]
+    assert [x.edge for x in out.payload] == [tree, resolved]
+    assert proc.stored == 2 and proc.is_builder
+
+
+def test_builder_full_of_tree_edges_forwards_a_tree_edge_with_primitive_labels():
+    proc = builder(1, [((1, 2), TREE), ((3, 4), TREE)])
+    e = LabeledEdge(2, 9, t=11)
+    out = proc.process_bundle(Bundle(e))
+    kinds = [v.kind for v in proc.hooks.ring.violations]
+    assert kinds == ["tree-jettison-missing"]
+    assert out.primary is e and (e.lu, e.lv) == (2, 9) and list(out.payload) == []
+    assert e not in proc.tree and proc.stored == 2
+    # the tree is full, so the builder seals behind it
+    assert out.builder_token and proc.sealed and not proc.is_builder
+
+
+def test_builder_tail_keeps_its_token_when_the_policy_starts():
+    proc = builder(2, [((1, 2), TREE)], s=2, auto_age_c=0.5, k=3)
+    assert proc.monitor.trigger_stored <= 2 and not proc.outq
+    out = proc.process_bundle(Bundle(LabeledEdge(2, 3, t=11)))
+    assert out.builder_token and proc.sealed
+    assert out.primary is None and [type(x) for x in out.payload] == [StatsProbe]
+
+
 def sealed_processor():
     """Processor 1, sealed with the tree 1-2-3, whose component is named 1."""
     proc = full_processor(1, [((1, 2), TREE), ((2, 3), TREE)])
@@ -305,24 +380,25 @@ def test_open_space_forwards_edges_whose_labels_differ():
 
 @pytest.mark.parametrize("path", ["transit", "general"])
 def test_constant_queries_update_as_on_the_general_path(path):
-    def on_path(proc):
-        # the builder takes the general path, which answers queries too
+    def through(proc, b):
+        # a queued item sends the bundle down the general path, which
+        # answers queries too
         if path == "general":
-            proc.is_builder, proc.sealed = True, False
-        return proc
+            proc.outq.append(StatsProbe(1))
+        return proc.process_bundle(b)
 
-    proc = on_path(sealed_processor())
+    proc = sealed_processor()
     met, apart, done = ConnQuery(0, 3, 2, 0), ConnQuery(1, 3, 9, 0), ConnQuery(2, 3, 3, 0)
     for q in (met, apart, done):
-        assert proc.process_bundle(Bundle(q)).primary is q
+        assert through(proc, Bundle(q)).primary is q
     assert (met.lu, met.lv, met.answer) == (1, 1, True)
     assert (apart.lu, apart.lv, apart.answer) == (1, 9, False)
     assert (done.lu, done.lv, done.answer) == (3, 3, True)  # answered: untouched
     # a count adds what is stored before the bundle's own edges settle
-    proc = on_path(open_processor([(1, 2)]))
+    proc = open_processor([(1, 2)])
     q = CountQuery(3, 0)
     q.n = 5
-    out = proc.process_bundle(Bundle(q, [LabeledEdge(5, 6, lu=0, lv=0)]))
+    out = through(proc, Bundle(q, [LabeledEdge(5, 6, lu=0, lv=0)]))
     assert out.primary is q and q.n == 6 and proc.stored == 2
 
 
@@ -350,13 +426,15 @@ def aging_processor(index=1, k=5, threshold=0, count=5):
 
 
 def through_hop(monkeypatch, proc, b):
-    """The output of `proc` for `b`, and whether the transit hop made it."""
+    """The output of `proc` for `b`, and whether the transit hop made it
+    from the whole bundle (the general path hands a builder's edges to the
+    hop one at a time)."""
     transit = Processor._transit
     made = []
 
     def spy(self, bundle):
         out = transit(self, bundle)
-        made.append(out is not None)
+        made.append(out is not None and bundle is b)
         return out
 
     monkeypatch.setattr(Processor, "_transit", spy)

@@ -1,19 +1,24 @@
 """The transit hop holds the only rules for an edge at a processor that is
-neither the builder nor the loader.
+not the loader.
 
 `Processor._transit` absorbs a duplicate (the newer timestamp wins),
-relabels at a sealed processor, settles an equal-label edge while space
-lasts, and otherwise forwards the edge in its slot; a full tail sends a
-`FailSignal` where it would have settled. `Processor.process_bundle` hands it
-whole bundles of edges, behind an optional connectivity or count query, from
-a processor with no work of its own, and an aging processor's payload edges,
-after which that processor tests k-1 of its own edges. The general path
-hands it the rest of such edges one slot at a time.
+relabels at the builder and at a sealed processor, settles an equal-label
+edge while space lasts, and otherwise forwards the edge in its slot; a full
+tail sends a `FailSignal` where it would have settled. At the builder an edge
+whose labels still differ is stored as a tree edge, evicting the newest
+non-tree edge from a full store, and at s tree edges the builder seals.
+`Processor.process_bundle` hands it whole bundles of edges, behind an
+optional connectivity or count query, from a processor with nothing queued
+and no builder token arriving, the builder included outside a deletion, and
+an aging processor's payload edges, after which that processor tests k-1 of
+its own edges. The general path hands it the rest of such edges one slot at
+a time.
 
 The same rules once also ran on the general path. The digests pinned below
 were recorded from that copy with the hop switched off, and the hop gave the
 same ones: the transcript, taps, stores and deletion log of every stream,
-and the failure that ended it, if any. The hops are counted by kind (sealed
+and the failure that ended it, if any. Moving the builder's rules into the
+hop left them unchanged. The hops are counted by kind (builder, sealed
 relabel, settle, constant query, full relay, aging relay) so that each kind
 is known to be exercised.
 """
@@ -22,8 +27,8 @@ import hashlib
 import random
 from collections import Counter
 
-from ringcc.model import Arrival, AutoAge
-from ringcc.processor import Processor
+from ringcc.model import Arrival, AutoAge, Connectivity
+from ringcc.processor import Packer, Processor
 from ringcc.queries import ConnQuery, CountQuery
 from ringcc.ring import Ring, RingConfig, SystemFailed
 
@@ -51,6 +56,8 @@ PINNED_FULL_TAIL = ("ea75673e50652770c1009f295062afac5302f690823b6c474da2ea41889
 
 def hop_kind(proc, b):
     """Which transit hop a non-empty bundle at `proc` takes."""
+    if proc.is_builder:
+        return "builder"
     if proc.aging:
         return "aging"
     if type(b.primary) in (ConnQuery, CountQuery):
@@ -104,7 +111,7 @@ def test_transit_matches_general_path(monkeypatch):
                                                       search_circuits=2), items)
             assert got == PINNED[p, k], (p, k)
             hops += taken
-    for kind in ("sealed", "settle", "query", "relay", "aging"):
+    for kind in ("builder", "sealed", "settle", "query", "relay", "aging"):
         assert hops[kind] >= 500, hops
 
 
@@ -118,3 +125,30 @@ def test_full_tail_fails_on_the_same_tick(monkeypatch):
                            [Arrival(u, v) for u, v in pairs])
     assert got == PINNED_FULL_TAIL
     assert hops["relay"] > 0
+
+
+def test_arrivals_and_queries_never_reach_the_general_path(monkeypatch):
+    # a guard on the hot path, as test_cold_start guards imports: with no
+    # deletion, no seal and no policy, every bundle, the builder's included,
+    # takes the transit hop, so the general path's slot dispatch and packer
+    # are never called
+    calls = Counter()
+    for cls, name in ((Processor, "_primary_slot"), (Packer, "bundle")):
+        def counted(*args, _real=getattr(cls, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(cls, name, counted)
+    rng = random.Random(3)
+    items = []
+    for i in range(400):
+        items.append(Arrival(rng.randrange(120), rng.randrange(120)))
+        if i % 10 == 9:
+            items.append(Connectivity(rng.randrange(120), rng.randrange(120)))
+    ring = Ring(RingConfig(p=3, s=200, k=5))
+    ring.run_stream(items)
+    head = ring.processors[0]
+    # the head filled, so it also evicted non-tree edges for tree edges,
+    # but 120 vertices leave too few tree edges for it to seal
+    assert head.is_builder and head.stored == 200 and len(head.tree) < 120
+    assert ring.processors[1].stored > 0
+    assert calls == Counter()
