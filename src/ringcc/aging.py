@@ -10,6 +10,7 @@ bundle size, p the processor count, s per-processor capacity (S = s*p).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, insort
 
 
 class DegenerateParams(ValueError):
@@ -87,38 +88,48 @@ class ReservoirSample:
 
     Each inserted edge ends up in the sample with probability size/seen.
     Only (u, v, t) snapshots are kept; staleness against later timestamp
-    refreshes is absorbed by the search's accuracy band. A processor keeps
-    one only while the automatic policy is armed; an `AUTOAGE` mid-stream
-    seeds it by inserting the processor's current store.
+    refreshes is absorbed by the search's accuracy band. `times` holds the
+    samples' timestamps in sorted order, kept in step with `samples` on
+    every append and replacement, so a survivor probe bisects it in
+    O(log size) instead of scanning the sample. A processor keeps one only
+    while the automatic policy is armed; an `AUTOAGE` mid-stream seeds it by
+    inserting the processor's current store.
     """
 
-    __slots__ = ("size", "rng", "samples", "seen")
+    __slots__ = ("size", "rng", "samples", "times", "seen")
 
     def __init__(self, size, rng):
         self.size = size
         self.rng = rng
         self.samples = []
+        self.times = []
         self.seen = 0
 
     def insert(self, u, v, t):
         self.seen += 1
-        if len(self.samples) < self.size:
-            self.samples.append((u, v, t))
+        samples = self.samples
+        if len(samples) < self.size:
+            samples.append((u, v, t))
+            insort(self.times, t)
         else:
             j = self.rng.randrange(self.seen)
             if j < self.size:
-                self.samples[j] = (u, v, t)
+                times = self.times
+                del times[bisect_left(times, samples[j][2])]
+                insort(times, t)
+                samples[j] = (u, v, t)
 
     def survivor_fraction(self, threshold):
         """Fraction of the sample with t >= threshold; 1.0 when empty so an
         unsampled store is never scheduled for deletion."""
-        if not self.samples:
+        times = self.times
+        if not times:
             return 1.0
-        alive = sum(1 for (_, _, t) in self.samples if t >= threshold)
-        return alive / len(self.samples)
+        return (len(times) - bisect_left(times, threshold)) / len(times)
 
     def reset(self):
         self.samples.clear()
+        self.times.clear()
         self.seen = 0
 
 

@@ -28,6 +28,7 @@ before it returns.
 
 from __future__ import annotations
 
+import operator
 from array import array
 from collections import deque
 
@@ -152,6 +153,12 @@ class RingConfig(_Record):
         self.taps = taps
         self.record_inputs = record_inputs
         self.metrics = metrics
+        for field in ("p", "s", "k", "reservoir", "search_circuits"):
+            value = getattr(self, field)
+            try:
+                operator.index(value)
+            except TypeError:
+                raise ValueError(f"{field}={value!r} must be an integer") from None
         if p < 1:
             raise ValueError("need at least one processor")
         if s < 1:

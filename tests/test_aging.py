@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from ringcc.aging import (
     DegenerateParams,
@@ -13,6 +14,7 @@ from ringcc.aging import (
 )
 from ringcc.model import Age, Arrival, AutoAge, Connectivity, EdgeCount, IDLE
 from ringcc.ring import Ring, RingConfig
+from ringcc.streams import gen_uniform, interleave_queries
 
 from util import replay_oracle
 
@@ -70,6 +72,76 @@ def test_reservoir_inclusion_probability():
 def test_reservoir_empty_fraction_defaults_to_keep():
     r = ReservoirSample(10, random.Random(0))
     assert r.survivor_fraction(123) == 1.0
+
+
+def brute_survivor_fraction(samples, threshold):
+    if not samples:
+        return 1.0
+    return sum(1 for (_, _, t) in samples if t >= threshold) / len(samples)
+
+
+@given(size=st.integers(1, 20), seed=st.integers(0, 2**32 - 1),
+       steps=st.lists(st.one_of(st.integers(0, 12), st.none()), max_size=120))
+def test_reservoir_index_matches_a_reference_algorithm_r(size, seed, steps):
+    # each step inserts an edge with a (often repeated) timestamp, or resets
+    sampler = ReservoirSample(size, random.Random(seed))
+    rng, samples, seen = random.Random(seed), [], 0
+    for i, t in enumerate(steps):
+        if t is None:
+            sampler.reset()
+            samples, seen = [], 0
+        else:
+            sampler.insert(i, i + 1, t)
+            seen += 1
+            if len(samples) < size:
+                samples.append((i, i + 1, t))
+            else:
+                j = rng.randrange(seen)
+                if j < size:
+                    samples[j] = (i, i + 1, t)
+        assert sampler.times == sorted(t for (_, _, t) in sampler.samples)
+        assert sampler.samples == samples
+        assert sampler.rng.getstate() == rng.getstate()
+        stamps = [t for (_, _, t) in samples]
+        probes = {th for t in stamps for th in (t - 1, t, t + 1)} | {-5, 20}
+        for th in probes:
+            assert sampler.survivor_fraction(th) == brute_survivor_fraction(samples, th)
+
+
+class Unscannable(list):
+    def __iter__(self):
+        raise AssertionError("the sample was scanned")
+
+
+def test_survivor_probe_does_not_scan_the_sample():
+    sampler = ReservoirSample(50, random.Random(2))
+    for i in range(200):
+        sampler.insert(i, i + 1, i % 70)
+    expected = brute_survivor_fraction(sampler.samples, 30)
+    sampler.samples = Unscannable(sampler.samples)
+    assert sampler.survivor_fraction(30) == expected
+
+
+def test_in_ring_survivor_probes_are_exact(monkeypatch):
+    probe = ReservoirSample.survivor_fraction
+    checked, wrong = [], []
+
+    def exact(self, threshold):
+        got = probe(self, threshold)
+        checked.append(threshold)
+        if got != brute_survivor_fraction(self.samples, threshold):
+            wrong.append((threshold, got))
+        return got
+
+    monkeypatch.setattr(ReservoirSample, "survivor_fraction", exact)
+    items = interleave_queries(gen_uniform(3000, 0.7, seed=4), every=10, seed=4)
+    ring = run_items(Ring(RingConfig(p=4, s=300, k=4, auto_age_c=0.5, seed=4,
+                                     validate=True)), items)
+    requested = [int(e[2].rsplit(" ", 1)[1]) for e in ring.transcript.events
+                 if e[0] == "EVT" and e[2].startswith("auto-age requested")]
+    assert requested == [915, 1660, 2351]  # the thresholds a full scan finds
+    assert len(ring.aging_log) >= 2 and checked and wrong == []
+    assert ring.violations == []
 
 
 # ------------------------------------------------------ sampler gating

@@ -407,6 +407,12 @@ def test_violation_compares_and_prints_by_fields():
     ({"auto_age_margin": 0.0}, "auto_age_margin=0.0 must be > 0"),
     ({"reservoir": 0}, "reservoir=0 must be >= 1"),
     ({"search_circuits": 0}, "search_circuits=0 must be >= 1"),
+    # sizes are counts: a 2.5-edge reservoir would keep 3 samples
+    ({"p": 2.5}, "p=2.5 must be an integer"),
+    ({"s": 10.5}, "s=10.5 must be an integer"),
+    ({"k": 3.5}, "k=3.5 must be an integer"),
+    ({"reservoir": 2.5, "auto_age_c": 0.5}, "reservoir=2.5 must be an integer"),
+    ({"search_circuits": 4.0}, "search_circuits=4.0 must be an integer"),
 ])
 def test_config_refusal_messages(kw, message):
     with pytest.raises(ValueError) as exc:
