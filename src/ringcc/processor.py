@@ -37,6 +37,16 @@ general path, which hands the hop the builder's edges, and outside a
 deletion everyone's, one slot at a time. Its own edge code covers only the
 loader and an aging processor's primary edge, which may settle unresolved
 for the loader to recycle.
+
+Most hops change nothing: a full relay, a sealed processor, a full builder
+and an aging relay pass most bundles on as they came. The hop therefore
+first asks the same rules whether anything changes, in the order that
+declines soonest, and if nothing does returns the bundle itself; any other
+bundle goes on to the rules. The test writes nothing but relabels, which
+the rules, or the general path for a bundle the hop leaves to it, make as
+well, and a relabel is idempotent (a component's name maps to itself); a
+query is answered only in a bundle that passes. So a bundle it declines
+meets the rules as if it had not run.
 """
 
 from __future__ import annotations
@@ -243,9 +253,86 @@ class Processor:
         edge or a connectivity or count query; and while aging, for a whole
         bundle at the builder or the loader, or with an occupied primary
         slot. An aging processor tests k-1 of its own edges after relaying
-        the payload, as `_aging_phase` would."""
+        the payload, as `_aging_phase` would.
+
+        An identity exit comes before the rules and returns `b` itself where
+        they would leave every slot as it is: at an aging relay, when no
+        edge is a duplicate; elsewhere, except at the tail, when no edge is
+        a duplicate, each edge with equal labels meets a full store, and
+        each edge whose labels differ meets a processor that is not the
+        builder. It relabels edges and answers a connectivity query as the
+        rules would, and a builder with space declines after two reads. It
+        is written out inline, primary slot and payload apart, because it
+        runs on most hops of a saturated ring, where a method call or a
+        tuple of both slots costs about what the exit saves."""
         prim = b.primary
         payload = b.payload
+        # identity exit
+        if not self.aging:
+            full = self.stored >= self.s
+            builder = self.is_builder
+            if (full or not builder) and not self.is_tail:
+                dup = self.dup
+                sets = self.lc.sets
+                tp = type(prim)
+                if tp is LabeledEdge:
+                    if prim.lu == prim.lv:
+                        same = full and prim.ck not in dup
+                    elif prim.ck in dup:
+                        same = False
+                    else:
+                        if sets:
+                            c = sets.get(prim.lu)
+                            if c is not None:
+                                prim.lu = c.name
+                            c = sets.get(prim.lv)
+                            if c is not None:
+                                prim.lv = c.name
+                        same = full if prim.lu == prim.lv else not builder
+                else:
+                    same = prim is None or tp is ConnQuery
+                if same:
+                    for e in payload:
+                        if type(e) is not LabeledEdge:
+                            break
+                        if e.lu == e.lv:
+                            if not full or e.ck in dup:
+                                break
+                        elif e.ck in dup:
+                            break
+                        else:
+                            if sets:
+                                c = sets.get(e.lu)
+                                if c is not None:
+                                    e.lu = c.name
+                                c = sets.get(e.lv)
+                                if c is not None:
+                                    e.lv = c.name
+                            if not (full if e.lu == e.lv else not builder):
+                                break
+                    else:
+                        # answered only once the bundle passes, so that a
+                        # query the general path takes meets it unanswered
+                        if tp is ConnQuery and sets and not prim.answer:
+                            c = sets.get(prim.lu)
+                            if c is not None:
+                                prim.lu = c.name
+                            c = sets.get(prim.lv)
+                            if c is not None:
+                                prim.lv = c.name
+                            if prim.lu == prim.lv:
+                                prim.answer = True
+                        return b
+        elif prim is None and not (self.is_builder or self.is_loader):
+            # an aging relay stores nothing: only a duplicate changes a slot
+            dup = self.dup
+            for e in payload:
+                if type(e) is not LabeledEdge or e.ck in dup:
+                    break
+            else:
+                if self.untested:
+                    self._downstream_testing()
+                return b
         for e in payload:
             if type(e) is not LabeledEdge:
                 return None
@@ -651,12 +738,10 @@ class Processor:
             self.hooks.violation("aging-reentry", self.index,
                                  "previous deletion still in progress")
         self.lc.reset()
-        for e in self.tree:
-            e.reset_labels()
-            self.untested.append(e)
-        for e in self.nontree:
-            e.reset_labels()
-            self.untested.append(e)
+        # labels go stale with the union-find; each untested edge gets
+        # primitive ones back where it leaves the pool
+        self.untested.extend(self.tree)
+        self.untested.extend(self.nontree)
         self.tree.clear()
         self.nontree.clear()
         self.aging = True
@@ -701,6 +786,7 @@ class Processor:
                     e.reset_labels()
                     pk.pack_spill(e)
                 else:
+                    e.reset_labels()
                     self._process_edge(e, False, pk)
             else:
                 self.deletions += 1

@@ -102,6 +102,8 @@ def iter_uniform(n, u_target, seed=0, vertices=None):
     earlier edge. Edges are drawn as they are read; the arguments are checked
     at the call. Raises ValueError when a fresh pair is due and every pair of
     `vertices` has been drawn."""
+    if n < 0:
+        raise ValueError(f"n={n} must be >= 0")
     if not (0 < u_target <= 1.0):
         raise ValueError("u_target must be in (0, 1]")
     if vertices is None:
@@ -147,6 +149,8 @@ def gen_uniform(n, u_target, seed=0, vertices=None):
 def gen_repeat_block(n, block=100):
     """Fresh disjoint edges, each observed `block` times contiguously; the
     realized unique fraction is 1/block. Draws nothing, so takes no seed."""
+    if n < 0:
+        raise ValueError(f"n={n} must be >= 0")
     if block < 1:
         raise ValueError(f"block={block} must be >= 1")
     out = []
@@ -161,6 +165,10 @@ def gen_repeat_block(n, block=100):
 def gen_rmat(n, scale=12, corners=(0.45, 0.15, 0.15, 0.25), seed=0):
     """Recursive quadrant sampling over a 2^scale vertex square; heavy-tailed
     degrees with the usual corner weights."""
+    if n < 0:
+        raise ValueError(f"n={n} must be >= 0")
+    if scale < 1:
+        raise ValueError(f"scale={scale} must be >= 1")
     a, b, c, d = corners
     total = a + b + c + d
     a, b, c, d = a / total, b / total, c / total, d / total

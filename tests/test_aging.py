@@ -295,6 +295,24 @@ def test_duplicate_across_aging_boundary_updates_timestamp():
     assert ring.violations == []
 
 
+def test_head_survivor_is_rebuilt_from_primitive_labels():
+    # 2-3 is stored as a tree edge under labels (1, 3), and 1-3 as a non-tree
+    # edge under (1, 1), both from the union-find the deletion forgets. Once
+    # 1-2 is deleted, the head must classify both survivors afresh: with the
+    # stale labels it would merge 1 and 3 but not 2, and keep 1-3 non-tree
+    ring = Ring(RingConfig(p=2, s=10, k=3, validate=True))
+    run_items(ring, [Arrival(1, 2), Arrival(2, 3), Arrival(1, 3),
+                     Age(TimestampThreshold(1))])
+    head = ring.processors[0]
+    assert sorted(e.ck for e in head.tree) == [(1, 3), (2, 3)]
+    assert head.nontree == []
+    for u, v in ((1, 2), (2, 3), (1, 3)):
+        ring.tick(Connectivity(u, v))
+    ring.drain()
+    assert [e[4] for e in ring.transcript.events if e[0] == "OUT"] == [True] * 3
+    assert ring.violations == []
+
+
 def test_repeated_aging_events():
     rng = random.Random(10)
     items = []

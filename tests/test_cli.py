@@ -270,6 +270,21 @@ def test_gen_prints_a_value_the_generator_refuses(flags, capsys):
     assert err == "gen: u_target must be in (0, 1]\n"
 
 
+@pytest.mark.parametrize("kind, flags, message", [
+    ("uniform", ["-n", "-5"], "n=-5 must be >= 0"),
+    ("repeat", ["-n", "-3"], "n=-3 must be >= 0"),
+    ("rmat", ["-n", "-3"], "n=-3 must be >= 0"),
+    ("rmat", ["--scale", "0"], "scale=0 must be >= 1"),
+    ("rmat", ["--scale", "-2"], "scale=-2 must be >= 1"),
+])
+def test_gen_refuses_a_size_it_cannot_honour(kind, flags, message, capsys):
+    rc = main(["gen", "--kind", kind] + flags)
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert out == ""
+    assert err == f"gen: {message}\n"
+
+
 def test_run_accepts_policy_flags_with_auto_age_c(tmp_path, capsys):
     stream = write(tmp_path, "s.txt", "E 1 2\nQ 1 2\n")
     rc = main(["run", stream, "-p", "2", "-s", "50", "-k", "3", "--auto-age-c", "0.5",

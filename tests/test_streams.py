@@ -96,6 +96,21 @@ def test_uniform_rejects_bad_target():
         iter_uniform(10, 1.5)  # at the call, before anything is drawn
 
 
+@pytest.mark.parametrize("gen, args, message", [
+    (iter_uniform, (-5, 0.67), "n=-5 must be >= 0"),
+    (gen_repeat_block, (-3,), "n=-3 must be >= 0"),
+    (gen_rmat, (-3,), "n=-3 must be >= 0"),
+    (gen_rmat, (10, 0), "scale=0 must be >= 1"),
+    (gen_rmat, (10, -2), "scale=-2 must be >= 1"),
+], ids=["uniform-n", "repeat-n", "rmat-n", "rmat-scale0", "rmat-scale-2"])
+def test_generators_refuse_sizes_they_cannot_honour(gen, args, message):
+    # a negative count once took the square root of a negative number or
+    # wrote nothing, and an R-MAT square below 2x2 wrote only self-loops on 0
+    with pytest.raises(ValueError) as raised:
+        gen(*args)
+    assert str(raised.value) == message
+
+
 # SHA-256 of repr(gen_uniform(*args)), pinned: how the generator keeps what
 # it has drawn must not change what it draws (the bench's two streams, a
 # larger one, an explicit vertex count)

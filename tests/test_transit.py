@@ -23,16 +23,22 @@ relabel, settle, constant query, full relay, aging relay) so that each kind
 is known to be exercised.
 """
 
+import copy
 import hashlib
 import random
-from collections import Counter
+import types
+from collections import Counter, deque
 
-from ringcc.model import Arrival, AutoAge, Connectivity
-from ringcc.processor import Packer, Processor
+from hypothesis import given, settings, strategies as st
+
+from ringcc.aging import StatsProbe, TimestampThreshold
+from ringcc.model import Arrival, AutoAge, Bundle, Connectivity, FailSignal, LabeledEdge
+from ringcc.processor import NONTREE, TREE, Packer, Processor
 from ringcc.queries import ConnQuery, CountQuery
 from ringcc.ring import Ring, RingConfig, SystemFailed
 
 from test_idle_skip import drain_padding, mixed_items
+from util import transit_rules
 
 # (p, k) -> SHA-256 of the run, and its failure
 PINNED = {
@@ -152,3 +158,191 @@ def test_arrivals_and_queries_never_reach_the_general_path(monkeypatch):
     assert head.is_builder and head.stored == 200 and len(head.tree) < 120
     assert ring.processors[1].stored > 0
     assert calls == Counter()
+
+
+# single processors in every role the hop sees; "aging" is a relay the
+# loader has not reached yet, and the aging builder and loader leave whole
+# bundles to the general path
+ROLES = ("builder-space", "builder-full", "sealed", "relay-space", "relay-full",
+         "aging", "aging-builder", "aging-loader")
+VERTICES = 10
+
+
+def _snap(x):
+    t = type(x)
+    if t is LabeledEdge:
+        return x.snapshot()
+    if t is FailSignal:
+        return "fail", x.edge.snapshot(), x.index
+    if t is ConnQuery:
+        return "conn", x.lu, x.lv, x.answer
+    if t is CountQuery:
+        return "count", x.n
+    return None if x is None else t.__name__
+
+
+def _slots(b):
+    return [_snap(b.primary)] + [_snap(x) for x in b.payload], b.builder_token
+
+
+def _labels(b):
+    return [_snap(x) for x in (b.primary, *b.payload) if type(x) in (LabeledEdge, ConnQuery)]
+
+
+def _state(proc):
+    pools = [[e.snapshot() for e in pool]
+             for pool in (proc.tree, proc.nontree, proc.untested, proc.unresolved)]
+    return ([(key, e.t) for key, e in proc.dup.items()], pools, proc.stored,
+            [(block, c.name) for block, c in proc.lc.sets.items()],
+            (proc.is_builder, proc.sealed, proc.is_loader, proc.seal_pending, proc.aging),
+            proc.deletions, [_snap(x) for x in proc.outq])
+
+
+def _draw_processor(data, role):
+    s = data.draw(st.integers(3, 7), "s")
+    k = data.draw(st.integers(2, 5), "k")
+    tail = not role.startswith("aging") and data.draw(st.integers(0, 3), "tail") == 0
+    proc = Processor(2 if tail else 1, RingConfig(p=3, s=s, k=k))
+    # a spanning forest, then non-tree edges stored under equal labels
+    ntree = {"sealed": s, "relay-space": 0, "relay-full": 0}.get(
+        role, data.draw(st.integers(0, s - 1), "ntree"))
+    full = role in ("builder-full", "sealed", "relay-full") or (
+        role.startswith("aging") and data.draw(st.booleans(), "full"))
+    stored = s if full else data.draw(st.integers(ntree, s - 1), "stored")
+    pairs = [(u, v) for u in range(VERTICES) for v in range(u, VERTICES)]
+    for u, v in data.draw(st.permutations(pairs), "pairs"):
+        lu, lv = proc.lc.relabel(u), proc.lc.relabel(v)
+        if len(proc.tree) < ntree and lu != lv:
+            proc._accept(LabeledEdge(u, v, t=data.draw(st.integers(0, 20), "t")), TREE)
+        elif proc.stored < stored and len(proc.tree) == ntree:
+            proc._accept(LabeledEdge(u, v, lu, lu, t=data.draw(st.integers(0, 20), "t")),
+                         NONTREE)
+    proc.is_builder = role.startswith("builder") or role == "aging-builder"
+    proc.sealed = role == "sealed"
+    if role.startswith("aging"):
+        # as begin_aging leaves it, some edges already tested
+        proc.lc.reset()
+        edges = proc.tree + proc.nontree
+        proc.tree.clear()
+        proc.nontree.clear()
+        split = data.draw(st.integers(0, len(edges)), "tested")
+        proc.unresolved = deque(edges[:split])
+        proc.untested = deque(edges[split:])
+        proc.aging = True
+        proc.is_loader = role != "aging"
+        proc.predicate = TimestampThreshold(data.draw(st.integers(0, 20), "threshold"))
+    return proc
+
+
+def _draw_edge(data, proc):
+    blocks = st.integers(0, VERTICES)
+    if proc.dup and data.draw(st.integers(0, 2), "stored key") == 0:
+        u, v = data.draw(st.sampled_from(sorted(proc.dup)), "key")
+    else:
+        u, v = data.draw(blocks, "u"), data.draw(blocks, "v")
+    labels = data.draw(st.sampled_from(("primitive", "equal", "any")), "labels")
+    if labels == "primitive":
+        lu, lv = u, v
+    elif labels == "equal":
+        lu = lv = data.draw(blocks, "label")
+    else:
+        lu, lv = data.draw(blocks, "lu"), data.draw(blocks, "lv")
+    return LabeledEdge(u, v, lu, lv, t=data.draw(st.integers(0, 40), "t"))
+
+
+def _draw_bundle(data, proc):
+    # an aging relay takes the hop only with an empty primary slot
+    kinds = ("none", "edge", "edge", "edge", "conn", "conn", "count", "probe")
+    kind = data.draw(st.sampled_from(kinds[:1] * 4 + kinds if proc.aging else kinds),
+                     "primary")
+    if kind == "edge":
+        prim = _draw_edge(data, proc)
+    elif kind == "conn":
+        # endpoints the union-find holds, so that relabelling can meet them
+        ends = sorted(proc.lc.sets) or [0]
+        prim = ConnQuery(0, data.draw(st.sampled_from(ends), "qu"),
+                         data.draw(st.integers(0, VERTICES), "qv"), 0)
+        if data.draw(st.booleans(), "held"):
+            prim.v = prim.lv = data.draw(st.sampled_from(ends), "qv held")
+        prim.answer = prim.u == prim.v or data.draw(st.integers(0, 3), "answered") == 0
+    elif kind == "count":
+        prim = CountQuery(0, 0)
+    else:
+        prim = StatsProbe(0) if kind == "probe" else None
+    payload = []
+    # about half the bundles carry no payload, as most in a ring do; an
+    # aging relay's carry some, since only its payload can change
+    low = 1 if proc.aging else 1 - proc.k
+    for _ in range(data.draw(st.integers(low, proc.k - 1), "payload")):
+        if data.draw(st.integers(0, 5), "item") == 0:
+            payload.append(StatsProbe(0))
+        else:
+            payload.append(_draw_edge(data, proc))
+    if proc.aging and proc.is_builder and data.draw(st.booleans(), "one edge"):
+        # the general path's one-edge handoff, the only bundle an aging
+        # builder takes
+        b = proc._one
+        e = _draw_edge(data, proc)
+        b.primary, b.payload = (e, ()) if data.draw(st.booleans(), "primary") else (None, (e,))
+        return b
+    return Bundle(prim, payload)
+
+
+def test_identity_exit_matches_the_rules():
+    # the exit at the top of `_transit` returns the bundle only where the
+    # rules below it would, and leaves the processor as they leave it
+    outcomes = Counter()
+
+    @settings(max_examples=1000)
+    @given(st.data())
+    def check(data):
+        # twice the roles whose bundles the exit passes most ways
+        role = data.draw(st.sampled_from(ROLES + ("aging", "builder-full", "sealed")), "role")
+        proc = _draw_processor(data, role)
+        b = _draw_bundle(data, proc)
+        exit_proc, exit_b = copy.deepcopy((proc, b))
+        rules_proc, rules_b = copy.deepcopy((proc, b))
+        got = exit_proc._transit(exit_b)
+        want = transit_rules(rules_proc, rules_b)
+        if want is None:
+            # the exit may have relabelled edges ahead of a slot that sends
+            # the bundle to the general path, which relabels them again (below)
+            assert got is None
+            outcome = "general path"
+        elif want is rules_b:
+            assert got is exit_b
+            assert _slots(exit_b) == _slots(rules_b)
+            # passed on as it came, or relabelled (a query maybe answered)
+            outcome = "identity" if _labels(exit_b) == _labels(b) else "relabelled"
+        else:
+            assert got is not None and got is not exit_b
+            assert _slots(got) == _slots(want)
+            assert _slots(exit_b) == _slots(rules_b)
+            outcome = "changed"
+        assert _state(exit_proc) == _state(rules_proc)
+        outcomes[role, outcome] += 1
+        stored = {e.ck for e in rules_proc.tree} - proc.dup.keys()
+        if stored & {e.ck for e in b.payload if type(e) is LabeledEdge}:
+            outcomes[role, "payload tree edge"] += 1
+        if b is not proc._one:
+            # the whole tick, the general path included, with the rules
+            # standing in for the hop on the reference copy
+            exit_proc, exit_b = copy.deepcopy((proc, b))
+            rules_proc, rules_b = copy.deepcopy((proc, b))
+            rules_proc._transit = types.MethodType(transit_rules, rules_proc)
+            assert (_slots(exit_proc.process_bundle(exit_b))
+                    == _slots(rules_proc.process_bundle(rules_b)))
+            assert _state(exit_proc) == _state(rules_proc)
+
+    check()
+    # an aging loader that is not the builder leaves every bundle to the
+    # general path, and a one-edge handoff at an aging builder here always
+    # finds room in a deletion
+    for role in ROLES:
+        for outcome in {"aging-loader": ("general path",),
+                        "aging-builder": ("changed", "general path")}.get(
+                            role, ("identity", "changed", "general path")):
+            assert outcomes[role, outcome] >= 5, outcomes
+    # only the builder and a sealed processor hold a union-find
+    assert outcomes["builder-full", "relabelled"] + outcomes["sealed", "relabelled"] >= 10
+    assert outcomes["builder-full", "payload tree edge"] >= 5, outcomes

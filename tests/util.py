@@ -1,7 +1,9 @@
-"""Shared brute-force oracles for the integration tests."""
+"""Shared brute-force oracles and reference implementations for the tests."""
 
-from ringcc.model import Age, Arrival
+from ringcc.model import EMPTY_BUNDLE, Age, Arrival, Bundle, FailSignal, LabeledEdge
 from ringcc.multipass import static_cc
+from ringcc.processor import NONTREE, TREE
+from ringcc.queries import ConnQuery, CountQuery
 from ringcc.ring import Violation
 
 
@@ -227,3 +229,166 @@ def audit_scan(ring):
                     found.append(Violation(ring.t, "unresolved-upstream", pr.index,
                                            f"{len(pr.unresolved)} unresolved before loader {loader}"))
     return found
+
+
+def transit_rules(proc, b):
+    """The transit hop's rules as they stood before its identity exit:
+    `Processor._transit` with every bundle taking the rule loop. The
+    reference the exit is compared against."""
+    prim = b.primary
+    payload = b.payload
+    for e in payload:
+        if type(e) is not LabeledEdge:
+            return None
+    builder = proc.is_builder
+    relay = proc.aging
+    tp = type(prim)
+    if relay:
+        if builder:
+            # the builder ages only as the loader, whose own work runs on
+            # the general path: that hands the hop one edge at a time
+            if b is not proc._one:
+                return None
+            relay = False
+        elif prim is not None or proc.is_loader:
+            return None
+    elif not (prim is None or tp is LabeledEdge or tp is ConnQuery or tp is CountQuery):
+        return None
+    dup = proc.dup
+    # the union-find's block -> component map, read inline (see
+    # unionfind); only the builder and a sealed processor hold one
+    sets = proc.lc.sets
+    changed = False
+    token = False
+    fwd = []
+    first = None
+    if tp is LabeledEdge:
+        if builder:
+            # the builder's rules below take the primary edge first, and
+            # put it back in its slot if it rides on
+            first = prim
+            payload = (prim, *payload)
+            prim = None
+        else:
+            rec = dup.get(prim.ck)
+            if rec is not None:
+                if prim.t > rec.t:
+                    rec.t = prim.t
+                prim = None
+                changed = True
+            else:
+                if prim.lu != prim.lv and sets:
+                    c = sets.get(prim.lu)
+                    if c is not None:
+                        prim.lu = c.name
+                    c = sets.get(prim.lv)
+                    if c is not None:
+                        prim.lv = c.name
+                if prim.lu == prim.lv:
+                    if proc.stored < proc.s:
+                        proc._accept(prim, NONTREE)
+                        prim = None
+                        changed = True
+                    elif proc.is_tail:
+                        fwd.append(FailSignal(prim, proc.index))
+                        prim = None
+                        changed = True
+    elif tp is ConnQuery:
+        # an empty union-find, as downstream of the builder, relabels
+        # nothing, and whoever changed the labels last compared them
+        if sets and not prim.answer:
+            c = sets.get(prim.lu)
+            if c is not None:
+                prim.lu = c.name
+            c = sets.get(prim.lv)
+            if c is not None:
+                prim.lv = c.name
+            if prim.lu == prim.lv:
+                prim.answer = True
+    elif tp is CountQuery:
+        prim.n += proc.stored
+    for e in payload:
+        rec = dup.get(e.ck)
+        if rec is not None:
+            if e.t > rec.t:
+                rec.t = e.t
+            changed = True
+            continue
+        if relay:
+            fwd.append(e)
+            continue
+        if e.lu != e.lv and sets:
+            c = sets.get(e.lu)
+            if c is not None:
+                e.lu = c.name
+            c = sets.get(e.lv)
+            if c is not None:
+                e.lv = c.name
+        if e.lu == e.lv:
+            # resolved: it settles while there is space
+            if proc.stored < proc.s:
+                proc._accept(e, NONTREE)
+            elif proc.is_tail:
+                fwd.append(FailSignal(e, proc.index))
+            elif not builder:
+                fwd.append(e)
+                continue
+            elif proc.aging and proc._room_in_deletion(fwd.append):
+                proc._accept(e, NONTREE)
+            else:
+                if e is first:
+                    prim = e
+                else:
+                    fwd.append(e)
+                continue
+            changed = True
+            continue
+        if not builder:
+            fwd.append(e)
+            continue
+        # a tree edge: the builder makes room for it if it can
+        changed = True
+        if proc.stored < proc.s:
+            proc._accept(e, TREE)
+        elif proc.is_tail:
+            fwd.append(FailSignal(e, proc.index))
+        elif proc.aging and proc._room_in_deletion(fwd.append):
+            proc._accept(e, TREE)
+        elif proc.nontree:
+            # the newest non-tree edge keeps its equal labels and settles
+            # downstream
+            ep = proc.nontree.pop()
+            proc._drop(ep)
+            fwd.append(ep)
+            proc._accept(e, TREE)
+        else:
+            # legal only for a builder whose seal is waiting on its loader
+            # duty; otherwise sealing should have happened first
+            if not proc.seal_pending and proc.hooks is not None:
+                proc.hooks.violation("tree-jettison-missing", proc.index,
+                                     f"full of tree edges, got {e!r}")
+            e.reset_labels()
+            if e is first:
+                prim = e
+            else:
+                fwd.append(e)
+        if len(proc.tree) >= proc.s:
+            if proc.is_loader:
+                # builder duty must not overtake the loader: both tokens
+                # leave together once recycling here is done
+                proc.seal_pending = True
+            else:
+                token = True
+                builder = proc.is_builder = False
+                proc.sealed = True
+    if relay and proc.untested:
+        proc._downstream_testing()
+    if not changed:
+        return b
+    if len(fwd) == proc.k:
+        # every payload slot is taken: the last item spills into the
+        # free primary slot, as the general path's `Packer` packs it
+        prim = fwd.pop()
+    if prim is None and not fwd and not token:
+        return EMPTY_BUNDLE
+    return Bundle(prim, fwd, token)
