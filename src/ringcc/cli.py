@@ -20,7 +20,8 @@ status 1: concurrent processors cannot run the auditor. Likewise
 flag (the repeat kind draws nothing, so it takes no seed); and `experiment`
 refuses a flag its harness has no use for. `run`, `gen` and `experiment`
 print a parameter that `RingConfig`, a generator or the sizing formulas
-refuse, such as a survivor fraction outside (0, 1), and exit with status 1.
+refuse, such as a survivor fraction outside (0, 1), and exit with status 1,
+as `reference` does for a capacity below 1.
 """
 
 from __future__ import annotations
@@ -83,6 +84,14 @@ def _config_from(args):
     )
 
 
+def _given(args, flag):
+    """Whether `flag` (say "--auto-age-margin") was given on the command
+    line: its value is neither the unset None nor a switch left off. A value
+    of 0 counts as given, although 0 == False."""
+    value = getattr(args, flag[2:].replace("-", "_"))
+    return value is not None and value is not False
+
+
 def cmd_run(args):
     if args.engine == "pipelined" and args.validate:
         print("the pipelined engine does not support --validate", file=sys.stderr)
@@ -94,10 +103,8 @@ def cmd_run(args):
         return 1
     if args.auto_age_c is None and not any(type(it) is AutoAge for it in items):
         # the policy's tuning flags are refused rather than ignored
-        refused = [flag for flag, value in (("--reservoir", args.reservoir),
-                                            ("--auto-age-margin", args.auto_age_margin),
-                                            ("--seed", args.seed))
-                   if value is not None]
+        refused = [flag for flag in ("--reservoir", "--auto-age-margin", "--seed")
+                   if _given(args, flag)]
         if refused:
             print(f"run does not use {', '.join(refused)} unless --auto-age-c "
                   "or an AUTOAGE line arms the automatic aging policy",
@@ -148,8 +155,7 @@ GEN_FLAG_KIND = {"--u-target": ("uniform",), "--block": ("repeat",),
 
 def cmd_gen(args):
     refused = [flag for flag, kinds in GEN_FLAG_KIND.items()
-               if args.kind not in kinds
-               and getattr(args, flag[2:].replace("-", "_")) is not None]
+               if args.kind not in kinds and _given(args, flag)]
     if refused:
         print(f"gen --kind {args.kind} does not use {', '.join(refused)}", file=sys.stderr)
         return 1
@@ -186,7 +192,11 @@ def cmd_reference(args):
         return 1
     from .multipass import multipass_labels
     arrivals = [(it.u, it.v) for it in items if isinstance(it, Arrival)]
-    labels = multipass_labels(args.capacity, arrivals=arrivals)
+    try:
+        labels = multipass_labels(args.capacity, arrivals=arrivals)
+    except ValueError as exc:
+        print(f"reference: {exc}", file=sys.stderr)
+        return 1
     for v in sorted(labels):
         print(v, labels[v])
     return 0
@@ -202,8 +212,7 @@ UNUSED_BY_EXPERIMENT = {
 
 def cmd_experiment(args):
     which = args.which
-    refused = [flag for flag in UNUSED_BY_EXPERIMENT[which]
-               if getattr(args, flag[2:]) not in (None, False)]
+    refused = [flag for flag in UNUSED_BY_EXPERIMENT[which] if _given(args, flag)]
     if which == 3 and args.survivor is not None and len(args.survivor) > 1:
         refused.append("--survivor with more than one value")
     if refused:

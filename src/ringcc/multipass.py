@@ -56,8 +56,11 @@ def run_multipass(capacity, arrivals=(), max_passes=None):
     streams (index 0 holds the first pass's output).
 
     arrivals may be (u, v) pairs or full 5-tuples; pairs get primitive labels
-    and their position as timestamp.
+    and their position as timestamp. A capacity below 1 never unions, so it
+    is refused at the call.
     """
+    if capacity < 1:
+        raise ValueError(f"capacity={capacity} must be >= 1")
     edges = []
     for i, a in enumerate(arrivals):
         if len(a) == 2:

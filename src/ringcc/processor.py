@@ -6,20 +6,22 @@ their way to the builder; duplicates are absorbed wherever their stored copy
 lives; non-tree edges settle into the first open space. During bulk deletion
 the same driver additionally runs the testing and recycling phases.
 
-The rules for an edge at a processor that is not the loader live in one
-place, the transit hop (`Processor._transit`):
+The rules for an edge at every processor live in one place, the transit hop
+(`Processor._transit`):
 
 - a duplicate is absorbed and the stored copy keeps the newer timestamp;
-- while aging, a processor that is neither the builder nor the loader has
-  not been reached by the loader, so it stores no edge: every edge rides on
-  in its slot whatever its labels;
 - the builder and a sealed processor relabel an edge whose labels differ
   through their union-find, and leave an already resolved one (equal
   labels) alone. No other processor holds connectivity information;
 - an edge with equal labels settles as non-tree while space lasts, and
   otherwise rides on in its slot. A sealed processor holds s tree edges, so
   it is full and cannot store. Only a deletion leaves a full store holding
-  an unresolved or untested edge that the builder can trade;
+  an unresolved or untested edge to trade for room;
+- while aging, a processor behind the builder settles its primary edge: as
+  non-tree when the labels are equal, trading for room when full, and as
+  unresolved, for the loader to recycle, while space lasts when they
+  differ. The loader settles an equal-label payload edge the same way; any
+  other payload edge rides on in its slot;
 - at the builder, an edge whose labels still differ is a tree edge. A full
   builder makes room for it by evicting its newest non-tree edge, which
   rides on in the next payload slot. At s tree edges the builder seals, and
@@ -31,12 +33,9 @@ a whole bundle of edges, unless it is the builder or the loader during a
 deletion. Outside a deletion a connectivity or count query may ride in the
 primary slot, and the hop relabels its endpoints and answers it once they
 meet, or adds the stored count; at the tail the automatic policy may then
-start. While aging the primary slot must be empty, and after the payload the
-processor tests k-1 of its own untested edges. Every other bundle takes the
-general path, which hands the hop the builder's edges, and outside a
-deletion everyone's, one slot at a time. Its own edge code covers only the
-loader and an aging processor's primary edge, which may settle unresolved
-for the loader to recycle.
+start. While aging the processor tests k-1 of its own untested edges after
+the payload. Every other bundle takes the general path, which has no edge
+rules of its own: it hands the hop each edge one slot at a time.
 
 Most hops change nothing: a full relay, a sealed processor, a full builder
 and an aging relay pass most bundles on as they came. The hop therefore
@@ -132,14 +131,6 @@ class Packer:
             self.primary = item
         else:
             raise SlotOverflow("bundle already holds k slots")
-
-    def pack_spill(self, edge):
-        """Unresolved edge forced out by a full builder/loader; prefers the
-        primary slot, the one place guaranteed free in that situation."""
-        if self.primary is None:
-            self.primary = edge
-        else:
-            self.pack(edge)
 
     def bundle(self):
         if self.primary is None and not self.payload and not self.builder_token:
@@ -242,29 +233,30 @@ class Processor:
         return pk.bundle()
 
     def _transit(self, b):
-        """The only rules for an edge at a processor that is not the loader,
-        slot by slot. `process_bundle` hands it a whole bundle when nothing
-        is queued and no builder token arrives; `_process_edge` hands it one
-        edge at a time from the builder, and from any other processor outside
-        a deletion.
+        """The only rules for an edge at any processor, slot by slot.
+        `process_bundle` hands it a whole bundle when nothing is queued and
+        no builder token arrives; `_process_edge` hands it every other edge
+        one at a time, in the processor's one reused bundle `_one`.
 
         Returns None, leaving the bundle to the general path, when a payload
         slot holds anything but an edge or the primary slot anything but an
         edge or a connectivity or count query; and while aging, for a whole
-        bundle at the builder or the loader, or with an occupied primary
-        slot. An aging processor tests k-1 of its own edges after relaying
-        the payload, as `_aging_phase` would.
+        bundle at the builder or the loader, or with anything but an edge in
+        the primary slot. An aging relay tests k-1 of its own edges after
+        the payload of a whole bundle, as `_aging_phase` would; after a
+        one-slot handoff the general path does.
 
         An identity exit comes before the rules and returns `b` itself where
-        they would leave every slot as it is: at an aging relay, when no
-        edge is a duplicate; elsewhere, except at the tail, when no edge is
-        a duplicate, each edge with equal labels meets a full store, and
-        each edge whose labels differ meets a processor that is not the
-        builder. It relabels edges and answers a connectivity query as the
-        rules would, and a builder with space declines after two reads. It
-        is written out inline, primary slot and payload apart, because it
-        runs on most hops of a saturated ring, where a method call or a
-        tuple of both slots costs about what the exit saves."""
+        they would leave every slot as it is: at an aging relay, when the
+        primary slot is empty and no edge is a duplicate; elsewhere, except
+        at the tail, when no edge is a duplicate, each edge with equal labels
+        meets a full store, and each edge whose labels differ meets a
+        processor that is not the builder. It relabels edges and answers a
+        connectivity query as the rules would, and a builder with space
+        declines after two reads. It is written out inline, primary slot and
+        payload apart, because it runs on most hops of a saturated ring,
+        where a method call or a tuple of both slots costs about what the
+        exit saves."""
         prim = b.primary
         payload = b.payload
         # identity exit
@@ -323,30 +315,34 @@ class Processor:
                             if prim.lu == prim.lv:
                                 prim.answer = True
                         return b
-        elif prim is None and not (self.is_builder or self.is_loader):
-            # an aging relay stores nothing: only a duplicate changes a slot
+        elif self.is_builder or self.is_loader:
+            # the builder ages only as the loader, whose own work runs on
+            # the general path: that hands the hop one edge at a time and
+            # tests nothing here
+            if b is not self._one:
+                return None
+        elif prim is None:
+            # an aging relay stores only a primary edge: with none, only a
+            # duplicate changes a slot
             dup = self.dup
             for e in payload:
                 if type(e) is not LabeledEdge or e.ck in dup:
                     break
             else:
-                if self.untested:
+                if self.untested and b is not self._one:
                     self._downstream_testing()
                 return b
         for e in payload:
             if type(e) is not LabeledEdge:
                 return None
         builder = self.is_builder
-        relay = self.aging
+        aging = relay = self.aging
         tp = type(prim)
-        if relay:
-            if builder:
-                # the builder ages only as the loader, whose own work runs on
-                # the general path: that hands the hop one edge at a time
-                if b is not self._one:
-                    return None
+        if aging:
+            if builder or self.is_loader:
+                # a one-slot handoff: whole bundles were declined above
                 relay = False
-            elif prim is not None or self.is_loader:
+            elif not (prim is None or tp is LabeledEdge):
                 return None
         elif not (prim is None or tp is LabeledEdge or tp is ConnQuery or tp is CountQuery):
             return None
@@ -389,6 +385,21 @@ class Processor:
                             fwd.append(FailSignal(prim, self.index))
                             prim = None
                             changed = True
+                        elif aging and self._room_in_deletion(fwd):
+                            self._accept(prim, NONTREE)
+                            prim = None
+                            changed = True
+                    elif aging:
+                        # behind the builder it may settle unresolved, for
+                        # the loader to recycle
+                        if self.stored < self.s:
+                            self._accept(prim, UNRESOLVED)
+                            prim = None
+                            changed = True
+                        elif self.is_tail:
+                            fwd.append(FailSignal(prim, self.index))
+                            prim = None
+                            changed = True
         elif tp is ConnQuery:
             # an empty union-find, as downstream of the builder, relabels
             # nothing, and whoever changed the labels last compared them
@@ -421,16 +432,17 @@ class Processor:
                 if c is not None:
                     e.lv = c.name
             if e.lu == e.lv:
-                # resolved: it settles while there is space
+                # resolved: it settles while there is space; in a deletion
+                # the builder and the loader trade for room
                 if self.stored < self.s:
                     self._accept(e, NONTREE)
                 elif self.is_tail:
                     fwd.append(FailSignal(e, self.index))
+                elif aging and self._room_in_deletion(fwd):
+                    self._accept(e, NONTREE)
                 elif not builder:
                     fwd.append(e)
                     continue
-                elif self.aging and self._room_in_deletion(fwd.append):
-                    self._accept(e, NONTREE)
                 else:
                     if e is first:
                         prim = e
@@ -448,7 +460,7 @@ class Processor:
                 self._accept(e, TREE)
             elif self.is_tail:
                 fwd.append(FailSignal(e, self.index))
-            elif self.aging and self._room_in_deletion(fwd.append):
+            elif aging and self._room_in_deletion(fwd):
                 self._accept(e, TREE)
             elif self.nontree:
                 # the newest non-tree edge keeps its equal labels and settles
@@ -477,7 +489,7 @@ class Processor:
                     token = True
                     builder = self.is_builder = False
                     self.sealed = True
-        if relay and self.untested:
+        if relay and self.untested and b is not self._one:
             self._downstream_testing()
         if not changed:
             return b
@@ -637,54 +649,25 @@ class Processor:
     # ------------------------------------------------- constituent functions
 
     def _process_edge(self, e, primary, pk):
-        if self.is_builder or not self.aging:
-            # one reused bundle per processor: the hop may hand it back, and
-            # its slots are read out before the next edge
-            one = self._one
-            one.primary, one.payload = (e, ()) if primary else (None, (e,))
-            out = self._transit(one)
-            if out.primary is not None:
-                pk.set_primary(out.primary)
-            for item in out.payload:
-                pk.pack(item)
-            if out.builder_token:
-                pk.builder_token = True
-            return
-        rec = self.dup.get(e.ck)
-        if rec is not None:
-            # duplicates never propagate; the stored copy keeps the newest
-            # timestamp (during aging either side could be newer)
-            if e.t > rec.t:
-                rec.t = e.t
-        elif primary or e.lu == e.lv and self.is_loader:
-            # aging behind the builder, with no connectivity information: an
-            # unresolved primary edge may settle as such, for the loader to
-            # recycle, and a resolved edge settles at the loader or in the
-            # primary slot; any other payload edge keeps riding
-            self._store_or_forward(e, primary, NONTREE if e.lu == e.lv else UNRESOLVED, pk)
-        else:
-            pk.pack(e)
+        # one reused bundle per processor: the hop may hand it back, and its
+        # slots are read out before the next edge
+        one = self._one
+        one.primary, one.payload = (e, ()) if primary else (None, (e,))
+        out = self._transit(one)
+        if out.primary is not None:
+            pk.set_primary(out.primary)
+        for item in out.payload:
+            pk.pack(item)
+        if out.builder_token:
+            pk.builder_token = True
 
-    def _store_or_forward(self, e, primary, cls, pk):
-        if self.stored >= self.s:
-            if self.is_tail:
-                pk.pack(FailSignal(e, self.index))
-                return
-            if cls == UNRESOLVED or not self._room_in_deletion(pk.pack):
-                if primary:
-                    pk.set_primary(e)
-                else:
-                    pk.pack(e)
-                return
-        self._accept(e, cls)
-
-    def _room_in_deletion(self, put):
+    def _room_in_deletion(self, fwd):
         """Room in a full store that only a deletion creates: the newest
         unresolved edge leaves, or, before an unresolved pool exists, one
         pinned untested edge is tested right now. A failure frees the slot
-        outright; a survivor leaves like an unresolved edge, through `put`,
-        and recycles through the head as a fresh edge. False when neither
-        is there."""
+        outright; a survivor leaves like an unresolved edge, on `fwd`, and
+        recycles through the head as a fresh edge. False when neither is
+        there."""
         if self.unresolved:
             ep = self.unresolved.pop()  # most recently stored first
             self._drop(ep)
@@ -697,7 +680,7 @@ class Processor:
         else:
             return False
         ep.reset_labels()
-        put(ep)
+        fwd.append(ep)
         return True
 
     # --------------------------------------------------------- store helpers
@@ -782,9 +765,13 @@ class Processor:
                     # re-storing this survivor would leave the head full; send
                     # it downstream instead so the next stream edge always
                     # finds a slot here. Self-loops stay put: their equal
-                    # labels would read as already-resolved in transit.
+                    # labels would read as already-resolved in transit. It
+                    # takes the primary slot when that is free.
                     e.reset_labels()
-                    pk.pack_spill(e)
+                    if pk.primary is None:
+                        pk.primary = e
+                    else:
+                        pk.pack(e)
                 else:
                     e.reset_labels()
                     self._process_edge(e, False, pk)

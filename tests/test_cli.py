@@ -81,6 +81,16 @@ def test_reference_subcommand(tmp_path, capsys):
     assert labels[7] == labels[8] != labels[1]
 
 
+@pytest.mark.parametrize("capacity", ["0", "-3"])
+def test_reference_refuses_a_capacity_below_one(tmp_path, capsys, capacity):
+    # no pass unions anything at a capacity below 1, so none would finish
+    stream = write(tmp_path, "s.txt", "E 1 2\nE 2 3\nE 7 8\n")
+    rc = main(["reference", stream, "-s", capacity])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err == f"reference: capacity={capacity} must be >= 1\n"
+
+
 def test_pipelined_engine_flag(tmp_path, capsys):
     stream = write(tmp_path, "s.txt", "E 1 2\nQ 1 2\n" + ".\n" * 10)
     rc = main(["run", stream, "-p", "3", "-s", "5", "-k", "3",
@@ -142,6 +152,14 @@ def test_experiment_refuses_flags_it_would_ignore(argv, flag, capsys):
     assert flag in err
 
 
+def test_experiment_refuses_an_unused_flag_given_as_zero(capsys):
+    # 0 == False, yet a flag given as 0 was given
+    rc = main(["experiment", "2", "-p", "2", "-s", "100", "--count", "0"])
+    out, err = capsys.readouterr()
+    assert rc == 1 and out == ""
+    assert err == "experiment 2 does not use --count\n"
+
+
 @pytest.mark.parametrize("flags, field", [
     (["-k", "1"], "bundles need"),
     (["--auto-age-c", "1.5"], "auto_age_c"),
@@ -181,7 +199,8 @@ def test_experiment_refuses_values_out_of_range(argv, field, capsys):
 @pytest.mark.parametrize("flags", [["--reservoir", "50"],
                                    ["--auto-age-margin", "2"],
                                    ["--reservoir", "50", "--auto-age-margin", "2"],
-                                   ["--seed", "3"]])
+                                   ["--seed", "3"],
+                                   ["--seed", "0"]])
 def test_run_refuses_policy_flags_nothing_arms(tmp_path, capsys, flags):
     stream = write(tmp_path, "s.txt", "E 1 2\nQ 1 2\n")
     rc = main(["run", stream, "-p", "2", "-s", "50", "-k", "3"] + flags)
@@ -218,6 +237,7 @@ def test_run_accepts_seed_when_the_policy_is_armed(tmp_path, capsys):
     ("uniform", "--scale", "5"),
     ("repeat", "--scale", "5"),
     ("repeat", "--seed", "4"),
+    ("repeat", "--seed", "0"),
 ])
 def test_gen_refuses_flags_its_kind_would_ignore(kind, flag, value, capsys):
     rc = main(["gen", "--kind", kind, "-n", "10", flag, value])

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from ringcc.multipass import (
     labeling_from_pairs,
     multipass_labels,
@@ -33,6 +35,15 @@ def test_empty_input():
     passes = run_multipass(4, [])
     assert len(passes) == 1
     assert passes[0].edges == [] and passes[0].labels == []
+
+
+def test_capacity_below_one_is_refused_at_the_call():
+    # no pass could union anything, so the loop would only run out of passes
+    for capacity in (0, -1):
+        with pytest.raises(ValueError, match="capacity"):
+            run_multipass(capacity, [(1, 2)])
+        with pytest.raises(ValueError, match="capacity"):
+            multipass_labels(capacity, [])
 
 
 def test_pass_preserves_components():

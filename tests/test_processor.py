@@ -503,14 +503,101 @@ def test_aging_relay_at_a_sealed_processor_forwards_and_tests(monkeypatch):
 @pytest.mark.parametrize("prepare, b", [
     (lambda proc: setattr(proc, "is_loader", True), Bundle(None, [LabeledEdge(11, 12)])),
     (lambda proc: proc.outq.append(StatsProbe(1)), Bundle(None, [LabeledEdge(11, 12)])),
-    (None, Bundle(LabeledEdge(11, 12), [LabeledEdge(13, 14)])),
     (None, Bundle(None, [LabeledEdge(11, 12)], builder_token=True)),
     (None, Bundle(None, [LabeledEdge(11, 12), StatsProbe(1)])),
     (None, Bundle(None, [LabeledEdge(11, 12), LOADER_TOKEN])),
-], ids=["loader", "outq", "primary-edge", "builder-token",
-        "probe-payload", "loader-token-payload"])
+], ids=["loader", "outq", "builder-token", "probe-payload", "loader-token-payload"])
 def test_aging_relay_declines_other_bundles(monkeypatch, prepare, b):
     proc = aging_processor()
     if prepare is not None:
         prepare(proc)
     assert not through_hop(monkeypatch, proc, b)[1]
+
+
+def aging_role(role, count=5):
+    """An aging processor behind the builder: a relay, the loader (which
+    hands the hop one edge at a time) or the tail, with `count` untested
+    edges of labels (0, 0) and room for 8."""
+    proc = aging_processor(2 if role == "tail" else 1, count=count)
+    for e in proc.untested:
+        e.lu = e.lv = 0
+    proc.is_loader = role == "loader"
+    return proc
+
+
+AGING_ROLES = ("relay", "loader", "tail")
+
+
+@pytest.mark.parametrize("role", AGING_ROLES)
+def test_aging_primary_edge_settles_by_its_labels(monkeypatch, role):
+    # no connectivity information behind the builder: labels that differ
+    # settle unresolved, for the loader to recycle; equal ones as non-tree
+    for e, pool in ((LabeledEdge(21, 22), "unresolved"),
+                    (LabeledEdge(21, 22, lu=3, lv=3), "nontree")):
+        proc = aging_role(role)
+        passing = LabeledEdge(23, 24)
+        out, hop = through_hop(monkeypatch, proc, Bundle(e, [passing]))
+        assert hop == (role != "loader")
+        assert out.primary is None and list(out.payload) == [passing]
+        assert e in getattr(proc, pool) and proc.dup[e.ck] is e and proc.stored == 6
+        assert passing.ck not in proc.dup
+
+
+@pytest.mark.parametrize("role", AGING_ROLES[:2])
+def test_full_aging_relay_keeps_an_unresolved_primary_in_its_slot(monkeypatch, role):
+    proc = aging_role(role, count=8)
+    e = LabeledEdge(21, 22)
+    out, hop = through_hop(monkeypatch, proc, Bundle(e))
+    assert hop == (role != "loader")
+    assert out.primary is e and list(out.payload) == []
+    assert e.ck not in proc.dup and proc.stored == 8 and proc.unresolved
+
+
+@pytest.mark.parametrize("role", AGING_ROLES[:2])
+def test_full_aging_relay_trades_a_resolved_primary_for_its_newest_unresolved(
+        monkeypatch, role):
+    proc = aging_role(role, count=8)
+    through_hop(monkeypatch, proc, EMPTY_BUNDLE)  # tests four edges, all kept
+    evictee = proc.unresolved[-1]
+    assert len(proc.unresolved) == 4 and (evictee.lu, evictee.lv) == (0, 0)
+    e, passing = LabeledEdge(21, 22, lu=3, lv=3), LabeledEdge(23, 24)
+    out, hop = through_hop(monkeypatch, proc, Bundle(e, [passing]))
+    assert hop == (role != "loader")
+    # the evictee leaves with primitive labels, to recycle as a fresh edge;
+    # the loader, its testing done, starts recycling after it
+    assert out.primary is None and out.payload[:2] == [evictee, passing]
+    assert (evictee.lu, evictee.lv) == (evictee.u, evictee.v)
+    assert evictee.ck not in proc.dup and proc.nontree == [e]
+    assert proc.stored == 8 - len(out.payload[2:])
+
+
+def test_full_aging_tail_signals_failure_in_the_first_payload_slot(monkeypatch):
+    for e in (LabeledEdge(21, 22), LabeledEdge(21, 22, lu=3, lv=3)):
+        proc = aging_role("tail", count=8)
+        passing = LabeledEdge(23, 24)
+        out, hop = through_hop(monkeypatch, proc, Bundle(e, [passing]))
+        assert hop and out.primary is None and out.payload[1] is passing
+        fail = out.payload[0]
+        assert type(fail) is FailSignal and fail.edge is e and fail.index == 2
+        assert e.ck not in proc.dup and proc.stored == 8
+
+
+@pytest.mark.parametrize("role", AGING_ROLES)
+def test_aging_primary_duplicate_is_absorbed_and_the_newer_timestamp_wins(
+        monkeypatch, role):
+    for e, t in ((LabeledEdge(2, 1, t=20), 20), (LabeledEdge(4, 3, lu=0, lv=0, t=5), 10)):
+        proc = aging_role(role)
+        out, hop = through_hop(monkeypatch, proc, Bundle(e))
+        assert hop == (role != "loader")
+        assert out.primary is None and proc.dup[e.ck].t == t and proc.stored == 5
+
+
+def test_aging_loader_settles_an_equal_label_payload_edge_and_forwards_the_rest(
+        monkeypatch):
+    proc = aging_role("loader")
+    resolved, unresolved = LabeledEdge(21, 22, lu=3, lv=3), LabeledEdge(23, 24)
+    out, hop = through_hop(monkeypatch, proc, Bundle(None, [resolved, unresolved]))
+    assert not hop
+    assert out.primary is None and list(out.payload) == [unresolved]
+    assert proc.nontree == [resolved] and unresolved.ck not in proc.dup
+    assert proc.is_loader and len(proc.untested) == 1

@@ -1,5 +1,4 @@
-"""The transit hop holds the only rules for an edge at a processor that is
-not the loader.
+"""The transit hop holds the only rules for an edge at every processor.
 
 `Processor._transit` absorbs a duplicate (the newer timestamp wins),
 relabels at the builder and at a sealed processor, settles an equal-label
@@ -7,20 +6,24 @@ edge while space lasts, and otherwise forwards the edge in its slot; a full
 tail sends a `FailSignal` where it would have settled. At the builder an edge
 whose labels still differ is stored as a tree edge, evicting the newest
 non-tree edge from a full store, and at s tree edges the builder seals.
+While aging, a processor behind the builder settles its primary edge as
+non-tree or unresolved by its labels, and trades a resolved one for room when
+full; the loader settles an equal-label payload edge the same way.
 `Processor.process_bundle` hands it whole bundles of edges, behind an
 optional connectivity or count query, from a processor with nothing queued
 and no builder token arriving, the builder included outside a deletion, and
-an aging processor's payload edges, after which that processor tests k-1 of
-its own edges. The general path hands it the rest of such edges one slot at
-a time.
+an aging relay's, after which that processor tests k-1 of its own edges. The
+general path has no edge rules of its own: it hands the hop every other edge
+one slot at a time.
 
 The same rules once also ran on the general path. The digests pinned below
 were recorded from that copy with the hop switched off, and the hop gave the
 same ones: the transcript, taps, stores and deletion log of every stream,
-and the failure that ended it, if any. Moving the builder's rules into the
-hop left them unchanged. The hops are counted by kind (builder, sealed
-relabel, settle, constant query, full relay, aging relay) so that each kind
-is known to be exercised.
+and the failure that ended it, if any. Moving the builder's rules, and then
+the aging rules behind it, into the hop left them unchanged, and so did the
+300 small rings of `PINNED_SMALL`. The hops are counted by kind (builder,
+sealed relabel, settle, constant query, full relay, aging relay) so that
+each kind is known to be exercised.
 """
 
 import copy
@@ -33,10 +36,11 @@ from hypothesis import given, settings, strategies as st
 
 from ringcc.aging import StatsProbe, TimestampThreshold
 from ringcc.model import Arrival, AutoAge, Bundle, Connectivity, FailSignal, LabeledEdge
-from ringcc.processor import NONTREE, TREE, Packer, Processor
+from ringcc.processor import NONTREE, TREE, Packer, Processor, SlotOverflow
 from ringcc.queries import ConnQuery, CountQuery
 from ringcc.ring import Ring, RingConfig, SystemFailed
 
+from test_audit import backlog_stream
 from test_idle_skip import drain_padding, mixed_items
 from util import transit_rules
 
@@ -58,6 +62,9 @@ PINNED = {
 }
 PINNED_FULL_TAIL = ("ea75673e50652770c1009f295062afac5302f690823b6c474da2ea41889f2397",
                     "tick 44: storage exhausted at processor 3")
+
+# SHA-256 of 300 small rings run to quiescence or failure
+PINNED_SMALL = "3396ce326edef445d1890ae70df1c9724f1369fa63b827065ab8f0c6ac3125d9"
 
 
 def hop_kind(proc, b):
@@ -133,6 +140,44 @@ def test_full_tail_fails_on_the_same_tick(monkeypatch):
     assert hops["relay"] > 0
 
 
+def small_rings():
+    """150 saturated rings drawn as in `test_audit.backlog_stream`, then 150
+    `mixed_items` rings with automatic aging and every query kind."""
+    for seed in range(150):
+        config, items = backlog_stream(seed)
+        config.taps = True
+        yield config, items
+    for seed in range(150):
+        rng = random.Random(seed)
+        p, s, k = rng.randint(1, 6), rng.randint(4, 60), rng.randint(2, 5)
+        yield (RingConfig(p=p, s=s, k=k, seed=seed, search_circuits=2, validate=True,
+                          taps=True),
+               mixed_items(rng, 4 * p * s, 2 * s))
+
+
+def test_small_rings_are_pinned():
+    # a gate for any refactor of the edge rules: the rings reach every
+    # role's rules, a deletion's trades and a full tail. A ring may run out
+    # of storage or slots, or not quiesce (ROADMAP item 1): how each run
+    # ended is part of the digest
+    digest = hashlib.sha256()
+    ends = Counter()
+    for config, items in small_rings():
+        ring = Ring(config)
+        try:
+            ring.run_stream(items)
+            end = "quiescent"
+        except (SystemFailed, SlotOverflow, RuntimeError) as e:
+            end = f"{type(e).__name__}: {e}"
+        ends[end.partition(":")[0]] += 1
+        for part in (ring.transcript.text(), ring.tap_edges, ring.tap_dump,
+                     sorted(ring.stored_edges().items()), ring.violations,
+                     ring.aging_log, end):
+            digest.update(repr(part).encode())
+    assert ends["quiescent"] > 100 and ends["SystemFailed"] > 100, ends
+    assert digest.hexdigest() == PINNED_SMALL
+
+
 def test_arrivals_and_queries_never_reach_the_general_path(monkeypatch):
     # a guard on the hot path, as test_cold_start guards imports: with no
     # deletion, no seal and no policy, every bundle, the builder's included,
@@ -162,7 +207,7 @@ def test_arrivals_and_queries_never_reach_the_general_path(monkeypatch):
 
 # single processors in every role the hop sees; "aging" is a relay the
 # loader has not reached yet, and the aging builder and loader leave whole
-# bundles to the general path
+# bundles to the general path, which hands the hop one slot at a time
 ROLES = ("builder-space", "builder-full", "sealed", "relay-space", "relay-full",
          "aging", "aging-builder", "aging-loader")
 VERTICES = 10
@@ -207,7 +252,7 @@ def _draw_processor(data, role):
     ntree = {"sealed": s, "relay-space": 0, "relay-full": 0}.get(
         role, data.draw(st.integers(0, s - 1), "ntree"))
     full = role in ("builder-full", "sealed", "relay-full") or (
-        role.startswith("aging") and data.draw(st.booleans(), "full"))
+        role.startswith("aging") and data.draw(st.integers(0, 3), "full") > 0)
     stored = s if full else data.draw(st.integers(ntree, s - 1), "stored")
     pairs = [(u, v) for u in range(VERTICES) for v in range(u, VERTICES)]
     for u, v in data.draw(st.permutations(pairs), "pairs"):
@@ -251,10 +296,17 @@ def _draw_edge(data, proc):
 
 
 def _draw_bundle(data, proc):
-    # an aging relay takes the hop only with an empty primary slot
-    kinds = ("none", "edge", "edge", "edge", "conn", "conn", "count", "probe")
-    kind = data.draw(st.sampled_from(kinds[:1] * 4 + kinds if proc.aging else kinds),
-                     "primary")
+    if proc.aging and data.draw(st.booleans(), "one slot"):
+        # the general path's one-slot handoff, the only bundle an aging
+        # builder or loader takes
+        b = proc._one
+        e = _draw_edge(data, proc)
+        b.primary, b.payload = (e, ()) if data.draw(st.booleans(), "primary") else (None, (e,))
+        return b
+    # a deletion suspends queries
+    kinds = (("edge", "none", "edge", "probe") if proc.aging else
+             ("none", "edge", "edge", "edge", "conn", "conn", "count", "probe"))
+    kind = data.draw(st.sampled_from(kinds), "primary")
     if kind == "edge":
         prim = _draw_edge(data, proc)
     elif kind == "conn":
@@ -271,20 +323,13 @@ def _draw_bundle(data, proc):
         prim = StatsProbe(0) if kind == "probe" else None
     payload = []
     # about half the bundles carry no payload, as most in a ring do; an
-    # aging relay's carry some, since only its payload can change
-    low = 1 if proc.aging else 1 - proc.k
+    # aging processor's carry some unless a primary edge rides alone
+    low = (0 if prim is not None else 1) if proc.aging else 1 - proc.k
     for _ in range(data.draw(st.integers(low, proc.k - 1), "payload")):
         if data.draw(st.integers(0, 5), "item") == 0:
             payload.append(StatsProbe(0))
         else:
             payload.append(_draw_edge(data, proc))
-    if proc.aging and proc.is_builder and data.draw(st.booleans(), "one edge"):
-        # the general path's one-edge handoff, the only bundle an aging
-        # builder takes
-        b = proc._one
-        e = _draw_edge(data, proc)
-        b.primary, b.payload = (e, ()) if data.draw(st.booleans(), "primary") else (None, (e,))
-        return b
     return Bundle(prim, payload)
 
 
@@ -293,11 +338,8 @@ def test_identity_exit_matches_the_rules():
     # rules below it would, and leaves the processor as they leave it
     outcomes = Counter()
 
-    @settings(max_examples=1000)
-    @given(st.data())
-    def check(data):
-        # twice the roles whose bundles the exit passes most ways
-        role = data.draw(st.sampled_from(ROLES + ("aging", "builder-full", "sealed")), "role")
+    def check(data, roles):
+        role = data.draw(st.sampled_from(roles), "role")
         proc = _draw_processor(data, role)
         b = _draw_bundle(data, proc)
         exit_proc, exit_b = copy.deepcopy((proc, b))
@@ -321,6 +363,10 @@ def test_identity_exit_matches_the_rules():
             outcome = "changed"
         assert _state(exit_proc) == _state(rules_proc)
         outcomes[role, outcome] += 1
+        if b is proc._one:
+            outcomes[role, "one slot", outcome] += 1
+        elif type(b.primary) is LabeledEdge:
+            outcomes[role, "primary edge", outcome] += 1
         stored = {e.ck for e in rules_proc.tree} - proc.dup.keys()
         if stored & {e.ck for e in b.payload if type(e) is LabeledEdge}:
             outcomes[role, "payload tree edge"] += 1
@@ -334,15 +380,33 @@ def test_identity_exit_matches_the_rules():
                     == _slots(rules_proc.process_bundle(rules_b)))
             assert _state(exit_proc) == _state(rules_proc)
 
-    check()
-    # an aging loader that is not the builder leaves every bundle to the
-    # general path, and a one-edge handoff at an aging builder here always
-    # finds room in a deletion
+    @settings(max_examples=1000)
+    @given(st.data())
+    def steady(data):
+        # twice the roles whose bundles the exit passes most ways
+        check(data, ROLES[:5] + ("builder-full", "sealed"))
+
+    @settings(max_examples=400)
+    @given(st.data())
+    def aging(data):
+        check(data, ROLES[5:] + ("aging",))
+
+    steady()
+    aging()
+    # an aging loader that is not the builder leaves every whole bundle to
+    # the general path, and a one-slot handoff at an aging builder here
+    # always finds room in a deletion
     for role in ROLES:
         for outcome in {"aging-loader": ("general path",),
                         "aging-builder": ("changed", "general path")}.get(
                             role, ("identity", "changed", "general path")):
             assert outcomes[role, outcome] >= 5, outcomes
+    # behind the builder a primary edge may settle or stay, and so may a
+    # one-slot edge at a relay or the loader
+    for role, shape in (("aging", "primary edge"), ("aging", "one slot"),
+                        ("aging-loader", "one slot")):
+        for outcome in ("identity", "changed"):
+            assert outcomes[role, shape, outcome] >= 5, outcomes
     # only the builder and a sealed processor hold a union-find
     assert outcomes["builder-full", "relabelled"] + outcomes["sealed", "relabelled"] >= 10
     assert outcomes["builder-full", "payload tree edge"] >= 5, outcomes

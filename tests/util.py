@@ -2,7 +2,7 @@
 
 from ringcc.model import EMPTY_BUNDLE, Age, Arrival, Bundle, FailSignal, LabeledEdge
 from ringcc.multipass import static_cc
-from ringcc.processor import NONTREE, TREE
+from ringcc.processor import NONTREE, TREE, UNRESOLVED
 from ringcc.queries import ConnQuery, CountQuery
 from ringcc.ring import Violation
 
@@ -232,8 +232,9 @@ def audit_scan(ring):
 
 
 def transit_rules(proc, b):
-    """The transit hop's rules as they stood before its identity exit:
-    `Processor._transit` with every bundle taking the rule loop. The
+    """The transit hop's rules without its identity exit:
+    `Processor._transit` with every bundle taking the rule loop, which
+    itself declines a whole bundle at an aging builder or loader. The
     reference the exit is compared against."""
     prim = b.primary
     payload = b.payload
@@ -241,16 +242,17 @@ def transit_rules(proc, b):
         if type(e) is not LabeledEdge:
             return None
     builder = proc.is_builder
-    relay = proc.aging
+    aging = relay = proc.aging
     tp = type(prim)
-    if relay:
-        if builder:
+    if aging:
+        if builder or proc.is_loader:
             # the builder ages only as the loader, whose own work runs on
-            # the general path: that hands the hop one edge at a time
+            # the general path: that hands the hop one edge at a time and
+            # tests nothing here
             if b is not proc._one:
                 return None
             relay = False
-        elif prim is not None or proc.is_loader:
+        elif not (prim is None or tp is LabeledEdge):
             return None
     elif not (prim is None or tp is LabeledEdge or tp is ConnQuery or tp is CountQuery):
         return None
@@ -293,6 +295,21 @@ def transit_rules(proc, b):
                         fwd.append(FailSignal(prim, proc.index))
                         prim = None
                         changed = True
+                    elif aging and proc._room_in_deletion(fwd):
+                        proc._accept(prim, NONTREE)
+                        prim = None
+                        changed = True
+                elif aging:
+                    # behind the builder it may settle unresolved, for
+                    # the loader to recycle
+                    if proc.stored < proc.s:
+                        proc._accept(prim, UNRESOLVED)
+                        prim = None
+                        changed = True
+                    elif proc.is_tail:
+                        fwd.append(FailSignal(prim, proc.index))
+                        prim = None
+                        changed = True
     elif tp is ConnQuery:
         # an empty union-find, as downstream of the builder, relabels
         # nothing, and whoever changed the labels last compared them
@@ -325,16 +342,17 @@ def transit_rules(proc, b):
             if c is not None:
                 e.lv = c.name
         if e.lu == e.lv:
-            # resolved: it settles while there is space
+            # resolved: it settles while there is space; in a deletion
+            # the builder and the loader trade for room
             if proc.stored < proc.s:
                 proc._accept(e, NONTREE)
             elif proc.is_tail:
                 fwd.append(FailSignal(e, proc.index))
+            elif aging and proc._room_in_deletion(fwd):
+                proc._accept(e, NONTREE)
             elif not builder:
                 fwd.append(e)
                 continue
-            elif proc.aging and proc._room_in_deletion(fwd.append):
-                proc._accept(e, NONTREE)
             else:
                 if e is first:
                     prim = e
@@ -352,7 +370,7 @@ def transit_rules(proc, b):
             proc._accept(e, TREE)
         elif proc.is_tail:
             fwd.append(FailSignal(e, proc.index))
-        elif proc.aging and proc._room_in_deletion(fwd.append):
+        elif aging and proc._room_in_deletion(fwd):
             proc._accept(e, TREE)
         elif proc.nontree:
             # the newest non-tree edge keeps its equal labels and settles
@@ -381,7 +399,7 @@ def transit_rules(proc, b):
                 token = True
                 builder = proc.is_builder = False
                 proc.sealed = True
-    if relay and proc.untested:
+    if relay and proc.untested and b is not proc._one:
         proc._downstream_testing()
     if not changed:
         return b
