@@ -30,6 +30,8 @@ class ThreadedRing(Ring):
     """Workers start with the first tick and stop when `run_stream` returns
     or raises; a caller driving `tick` directly calls `close`."""
 
+    __slots__ = ("_queues", "_threads")
+
     def __init__(self, config):
         if config.validate:
             raise ValueError("validate=True is not supported by the threaded engine")

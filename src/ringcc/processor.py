@@ -7,7 +7,7 @@ lives; non-tree edges settle into the first open space. During bulk deletion
 the same driver additionally runs the testing and recycling phases.
 
 The rules for an edge at every processor live in one place, the transit hop
-(`Processor._transit`):
+(`Processor.process_bundle`):
 
 - a duplicate is absorbed and the stored copy keeps the newer timestamp;
 - the builder and a sealed processor relabel an edge whose labels differ
@@ -35,7 +35,10 @@ primary slot, and the hop relabels its endpoints and answers it once they
 meet, or adds the stored count; at the tail the automatic policy may then
 start. While aging the processor tests k-1 of its own untested edges after
 the payload. Every other bundle takes the general path, which has no edge
-rules of its own: it hands the hop each edge one slot at a time.
+rules of its own: it hands the hop each edge one slot at a time. One
+function is both the hop the ring calls and that one-slot hop; the general
+path calls it through the private alias `_hop`, because the benchmark's
+tracer wraps the public name to count one call per scheduled hop.
 
 Most hops change nothing: a full relay, a sealed processor, a full builder
 and an aging relay pass most bundles on as they came. The hop therefore
@@ -147,6 +150,12 @@ class Processor:
     seeded then from the edges already stored here.
     """
 
+    __slots__ = ("index", "config", "p", "s", "k", "is_head", "is_tail", "hooks",
+                 "lc", "tree", "nontree", "untested", "unresolved", "dup", "stored",
+                 "reservoir", "is_builder", "sealed", "aging", "is_loader",
+                 "seal_pending", "predicate", "deletions", "scratch", "outq",
+                 "monitor", "_pk", "_one")
+
     def __init__(self, index, config, hooks=None):
         self.index = index
         self.config = config
@@ -191,72 +200,35 @@ class Processor:
 
     # ------------------------------------------------------------------ tick
 
-    def process_bundle(self, b):
-        if not (self.outq or b.builder_token):
-            out = self._transit(b)
-            if out is not None:
-                monitor = self.monitor
-                if monitor is None or self.aging or not monitor.should_start(self.stored):
-                    return out
-                # the policy starts on this tick: its probe takes the first
-                # free payload slot, or waits in the queue
-                probe = monitor.start()
-                if len(out.payload) < self.k - 1:
-                    return Bundle(out.primary, [*out.payload, probe], out.builder_token)
-                self.outq.append(probe)
-                return out
-        pk = self._pk
-        pk.primary = None
-        pk.payload = []
-        pk.builder_token = False
-        if b.builder_token:
-            self.is_builder = True
-        prim = b.primary
-        if prim is not None:
-            self._primary_slot(prim, pk)
-            if b.builder_token and type(prim) is AgingToken:
-                # begin_aging just reset the role, but the sender began aging
-                # before it passed builder duty on: the token belongs to the
-                # new regime and must survive
-                self.is_builder = True
-        for item in b.payload:
-            if item is not None:
-                self._payload_slot(item, pk)
-        if self.aging:
-            self._aging_phase(pk)
-        if self.monitor is not None and not self.aging:
-            if self.monitor.should_start(self.stored):
-                self.outq.append(self.monitor.start())
-        outq = self.outq
-        while outq and pk.payload_space() > 0:
-            pk.pack(outq.popleft())
-        return pk.bundle()
+    def process_bundle(self, b, one=False):
+        """The transit hop: the only rules for an edge at any processor,
+        slot by slot. The ring hands it each tick's bundle; the general path
+        hands it every other edge one at a time, in the processor's one
+        reused bundle `_one`, with `one` set and through the alias `_hop`,
+        since the benchmark's tracer wraps this name to count scheduled hops.
 
-    def _transit(self, b):
-        """The only rules for an edge at any processor, slot by slot.
-        `process_bundle` hands it a whole bundle when nothing is queued and
-        no builder token arrives; `_process_edge` hands it every other edge
-        one at a time, in the processor's one reused bundle `_one`.
-
-        Returns None, leaving the bundle to the general path, when a payload
-        slot holds anything but an edge or the primary slot anything but an
-        edge or a connectivity or count query; and while aging, for a whole
-        bundle at the builder or the loader, or with anything but an edge in
-        the primary slot. An aging relay tests k-1 of its own edges after
-        the payload of a whole bundle, as `_aging_phase` would; after a
-        one-slot handoff the general path does.
+        A whole bundle goes to the general path, `_general`, when something
+        is queued or a builder token arrives; when a payload slot holds
+        anything but an edge or the primary slot anything but an edge or a
+        connectivity or count query; and while aging, at the builder or the
+        loader, or with anything but an edge in the primary slot. An aging
+        relay tests k-1 of its own edges after the payload of a whole bundle,
+        as `_aging_phase` would; after a one-slot handoff the general path
+        does. At the tail the policy may then start, as on the general path.
 
         An identity exit comes before the rules and returns `b` itself where
         they would leave every slot as it is: at an aging relay, when the
         primary slot is empty and no edge is a duplicate; elsewhere, except
         at the tail, when no edge is a duplicate, each edge with equal labels
         meets a full store, and each edge whose labels differ meets a
-        processor that is not the builder. It relabels edges and answers a
-        connectivity query as the rules would, and a builder with space
-        declines after two reads. It is written out inline, primary slot and
-        payload apart, because it runs on most hops of a saturated ring,
-        where a method call or a tuple of both slots costs about what the
-        exit saves."""
+        processor that is not the builder. So it never runs where the policy
+        could start. It relabels edges and answers a connectivity query as
+        the rules would, and a builder with space declines after two reads.
+        It is written out inline, primary slot and payload apart, because it
+        runs on most hops of a saturated ring, where a method call or a
+        tuple of both slots costs about what the exit saves."""
+        if (self.outq or b.builder_token) and not one:
+            return self._general(b)
         prim = b.primary
         payload = b.payload
         # identity exit
@@ -319,8 +291,8 @@ class Processor:
             # the builder ages only as the loader, whose own work runs on
             # the general path: that hands the hop one edge at a time and
             # tests nothing here
-            if b is not self._one:
-                return None
+            if not one:
+                return self._general(b)
         elif prim is None:
             # an aging relay stores only a primary edge: with none, only a
             # duplicate changes a slot
@@ -329,12 +301,12 @@ class Processor:
                 if type(e) is not LabeledEdge or e.ck in dup:
                     break
             else:
-                if self.untested and b is not self._one:
+                if self.untested and not one:
                     self._downstream_testing()
                 return b
         for e in payload:
             if type(e) is not LabeledEdge:
-                return None
+                return self._general(b)
         builder = self.is_builder
         aging = relay = self.aging
         tp = type(prim)
@@ -343,9 +315,9 @@ class Processor:
                 # a one-slot handoff: whole bundles were declined above
                 relay = False
             elif not (prim is None or tp is LabeledEdge):
-                return None
+                return self._general(b)
         elif not (prim is None or tp is LabeledEdge or tp is ConnQuery or tp is CountQuery):
-            return None
+            return self._general(b)
         dup = self.dup
         # the union-find's block -> component map, read inline (see
         # unionfind); only the builder and a sealed processor hold one
@@ -489,17 +461,57 @@ class Processor:
                     token = True
                     builder = self.is_builder = False
                     self.sealed = True
-        if relay and self.untested and b is not self._one:
+        if relay and self.untested and not one:
             self._downstream_testing()
-        if not changed:
+        if changed:
+            # the output takes b's place
+            if len(fwd) == self.k:
+                # every payload slot is taken: the last item spills into the
+                # free primary slot, as the general path's `Packer` packs it
+                prim = fwd.pop()
+            b = Bundle(prim, fwd, token) if prim is not None or fwd or token else EMPTY_BUNDLE
+        monitor = self.monitor
+        if monitor is None or one or aging or not monitor.should_start(self.stored):
             return b
-        if len(fwd) == self.k:
-            # every payload slot is taken: the last item spills into the
-            # free primary slot, as the general path's `Packer` packs it
-            prim = fwd.pop()
-        if prim is None and not fwd and not token:
-            return EMPTY_BUNDLE
-        return Bundle(prim, fwd, token)
+        # the policy starts on this tick: its probe takes the first free
+        # payload slot, or waits in the queue
+        probe = monitor.start()
+        if len(b.payload) < self.k - 1:
+            return Bundle(b.primary, [*b.payload, probe], b.builder_token)
+        self.outq.append(probe)
+        return b
+
+    _hop = process_bundle
+
+    def _general(self, b):
+        """A bundle the hop declines, slot by slot; each edge goes back to
+        the hop alone."""
+        pk = self._pk
+        pk.primary = None
+        pk.payload = []
+        pk.builder_token = False
+        if b.builder_token:
+            self.is_builder = True
+        prim = b.primary
+        if prim is not None:
+            self._primary_slot(prim, pk)
+            if b.builder_token and type(prim) is AgingToken:
+                # begin_aging just reset the role, but the sender began aging
+                # before it passed builder duty on: the token belongs to the
+                # new regime and must survive
+                self.is_builder = True
+        for item in b.payload:
+            if item is not None:
+                self._payload_slot(item, pk)
+        if self.aging:
+            self._aging_phase(pk)
+        if self.monitor is not None and not self.aging:
+            if self.monitor.should_start(self.stored):
+                self.outq.append(self.monitor.start())
+        outq = self.outq
+        while outq and pk.payload_space() > 0:
+            pk.pack(outq.popleft())
+        return pk.bundle()
 
     # ------------------------------------------------------- slot dispatch
 
@@ -653,7 +665,7 @@ class Processor:
         # slots are read out before the next edge
         one = self._one
         one.primary, one.payload = (e, ()) if primary else (None, (e,))
-        out = self._transit(one)
+        out = self._hop(one, True)
         if out.primary is not None:
             pk.set_primary(out.primary)
         for item in out.payload:
@@ -885,8 +897,15 @@ class Processor:
 
     def _fold_stats(self, probe):
         if self.stored:
-            ts = [e.t for e in self.dup.values()]
-            probe.fold(self.stored, min(ts), max(ts))
+            edges = iter(self.dup.values())
+            lo = hi = next(edges).t
+            for e in edges:
+                t = e.t
+                if t < lo:
+                    lo = t
+                elif t > hi:
+                    hi = t
+            probe.fold(self.stored, lo, hi)
 
     def _consume_stats(self, probe):
         try:

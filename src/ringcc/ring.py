@@ -209,6 +209,8 @@ class Transcript:
     text.
     """
 
+    __slots__ = ("_ticks", "_records")
+
     def __init__(self):
         self._ticks = array("q")
         self._records = []
@@ -326,6 +328,9 @@ class RingHooks:
 
 class IOJunction:
     """The I/O processor: feeds the head, extracts what the tail returns."""
+
+    __slots__ = ("ring", "config", "transcript", "mode", "pending", "next_qid",
+                 "active", "ring_sealed", "age_hold_until", "backlog")
 
     def __init__(self, ring):
         self.ring = ring
@@ -569,6 +574,11 @@ class Ring:
     call is a no-op. That holds for an idle tail with an auto-age monitor
     too, since nothing outside a call moves the monitor's trigger.
     `_advance` alone schedules those calls; `ThreadedRing` replaces it."""
+
+    __slots__ = ("config", "t", "transcript", "violations", "junction", "hooks",
+                 "processors", "links", "junction_return", "_active", "failed",
+                 "aging_ticks", "suspended_ticks", "aging_started_tick", "aging_log",
+                 "_pre_aging_stored", "metrics", "tap_edges", "tap_dump")
 
     def __init__(self, config):
         self.config = config

@@ -101,6 +101,18 @@ def test_idle_processors_are_not_called(monkeypatch):
     assert 0 < calls < p * ring.t
 
 
+def policy_ring():
+    """A small validated ring whose policy runs several deletions, and the
+    bursts of arrivals and idle runs that drive it."""
+    rng = random.Random(7)
+    items = []
+    for _ in range(150):
+        items.extend(Arrival(rng.randrange(200), rng.randrange(200)) for _ in range(4))
+        items.extend([IDLE] * rng.randrange(10, 40))
+    return Ring(RingConfig(p=5, s=20, k=3, auto_age_c=0.5, search_circuits=2,
+                           validate=True)), items
+
+
 def test_idle_tail_with_a_monitor_is_not_called(monkeypatch):
     # the auto-age monitor at the tail changes only inside a call, so an
     # idle tail is skipped like any other idle processor
@@ -114,16 +126,52 @@ def test_idle_tail_with_a_monitor_is_not_called(monkeypatch):
         return process_bundle(proc, b)
 
     monkeypatch.setattr(Processor, "process_bundle", recorded)
-    rng = random.Random(7)
-    items = []
-    for _ in range(150):
-        items.extend(Arrival(rng.randrange(200), rng.randrange(200)) for _ in range(4))
-        items.extend([IDLE] * rng.randrange(10, 40))
-    ring = Ring(RingConfig(p=5, s=20, k=3, auto_age_c=0.5, search_circuits=2,
-                           validate=True))
+    ring, items = policy_ring()
     ring.run_stream(items)
     assert ring.violations == []
     assert ring.transcript.text().count("auto-age requested") >= 2
     # the first tick calls every processor; after that, only a busy tail
     assert [t for t, busy in tail_calls if not busy] == [0]
     assert len(tail_calls) < ring.t // 2
+
+
+def test_a_wrapper_on_the_public_hop_sees_each_scheduled_call_once(monkeypatch):
+    # the benchmark's tracer wraps `Processor.process_bundle` on the class
+    # and counts one call per hop the ring schedules: the general path's
+    # one-slot handoffs go through the private alias `_hop`, not the
+    # public name
+    process_bundle = Processor.__dict__["process_bundle"]
+    hop = Processor.__dict__["_hop"]
+    advance = Ring.__dict__["_advance"]
+    calls = []
+    handoffs = ticks = 0
+
+    def traced(proc, b):
+        out = process_bundle(proc, b)
+        calls.append((proc.index, out))
+        return out
+
+    def handoff(proc, b, one):
+        nonlocal handoffs
+        handoffs += 1
+        return hop(proc, b, one)
+
+    def checked(ring, head_in):
+        nonlocal ticks
+        calls.clear()
+        ran = advance(ring, head_in)
+        assert len(calls) == len(ran), ring.t
+        for (i, out), (index, got) in zip(ran, calls):
+            assert i == index and out is got, ring.t
+        ticks += 1
+        return ran
+
+    monkeypatch.setattr(Processor, "process_bundle", traced)
+    monkeypatch.setattr(Processor, "_hop", handoff)
+    monkeypatch.setattr(Ring, "_advance", checked)
+    ring, items = policy_ring()
+    ring.run_stream(items)
+    assert ring.violations == [] and ticks == ring.t
+    text = ring.transcript.text()
+    assert text.count("auto-age requested") >= 2 and text.count("aging complete") >= 2
+    assert handoffs > 0

@@ -127,6 +127,21 @@ def test_duplicate_refresh_keeps_newest_timestamp():
     assert ring.processors[0].dup[(1, 2)].t == 50
 
 
+def test_stats_probe_folds_the_exact_timestamp_bounds():
+    # a duplicate refreshes the oldest stored edge, which moves both bounds
+    # away from the first stored edge; the fold matches a scan of the store
+    # as it stands
+    proc = open_processor([])
+    for (u, v), t in (((1, 2), 8), ((3, 4), 4), ((5, 6), 5)):
+        proc._accept(LabeledEdge(u, v, t=t), NONTREE)
+    assert proc.process_bundle(Bundle(None, [LabeledEdge(4, 3, t=12)])) is EMPTY_BUNDLE
+    probe = StatsProbe(1)
+    out = proc.process_bundle(Bundle(None, [probe]))
+    assert out.payload == [probe]
+    ts = [e.t for e in proc.dup.values()]
+    assert (probe.total, probe.oldest, probe.newest) == (3, min(ts), max(ts)) == (3, 5, 12)
+
+
 def test_head_testing_is_bounded_per_tick():
     # k-1 untested edges are examined per tick at the head
     ring = Ring(cfg(p=2, s=10, k=3))
@@ -402,12 +417,17 @@ def test_constant_queries_update_as_on_the_general_path(path):
     assert out.primary is q and q.n == 6 and proc.stored == 2
 
 
-def test_probes_and_tokens_take_the_general_path():
+def test_probes_and_tokens_take_the_general_path(monkeypatch):
     proc = full_processor(1, [(1, 2), (3, 4)])
     e = LabeledEdge(5, 6)
-    for b in (Bundle(e, [StatsProbe(1)]), Bundle(None, [e, SurvivorProbe(1, 4)]),
-              Bundle(None, [e, LOADER_TOKEN]), Bundle(AgingToken(TimestampThreshold(0)))):
-        assert proc._transit(b) is None
+    declined = []
+    monkeypatch.setattr(Processor, "_general", lambda self, b: declined.append(b))
+    bundles = (Bundle(e, [StatsProbe(1)]), Bundle(None, [e, SurvivorProbe(1, 4)]),
+               Bundle(None, [e, LOADER_TOKEN]), Bundle(AgingToken(TimestampThreshold(0))))
+    for b in bundles:
+        proc.process_bundle(b)
+    assert declined == list(bundles)
+    monkeypatch.undo()
     # the builder token never reaches the transit hop: it makes a builder
     proc.process_bundle(Bundle(LabeledEdge(7, 8), [], builder_token=True))
     assert proc.is_builder
@@ -427,20 +447,19 @@ def aging_processor(index=1, k=5, threshold=0, count=5):
 
 def through_hop(monkeypatch, proc, b):
     """The output of `proc` for `b`, and whether the transit hop made it
-    from the whole bundle (the general path hands a builder's edges to the
-    hop one at a time)."""
-    transit = Processor._transit
-    made = []
+    from the whole bundle, leaving nothing to the general path (which hands
+    a builder's edges to the hop one at a time)."""
+    general = Processor._general
+    declined = []
 
     def spy(self, bundle):
-        out = transit(self, bundle)
-        made.append(out is not None and bundle is b)
-        return out
+        declined.append(bundle)
+        return general(self, bundle)
 
-    monkeypatch.setattr(Processor, "_transit", spy)
+    monkeypatch.setattr(Processor, "_general", spy)
     out = proc.process_bundle(b)
     monkeypatch.undo()
-    return out, made == [True]
+    return out, declined == []
 
 
 @pytest.mark.parametrize("index", [1, 2])  # the tail relays like any other

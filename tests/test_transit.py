@@ -1,6 +1,6 @@
 """The transit hop holds the only rules for an edge at every processor.
 
-`Processor._transit` absorbs a duplicate (the newer timestamp wins),
+`Processor.process_bundle` absorbs a duplicate (the newer timestamp wins),
 relabels at the builder and at a sealed processor, settles an equal-label
 edge while space lasts, and otherwise forwards the edge in its slot; a full
 tail sends a `FailSignal` where it would have settled. At the builder an edge
@@ -9,12 +9,12 @@ non-tree edge from a full store, and at s tree edges the builder seals.
 While aging, a processor behind the builder settles its primary edge as
 non-tree or unresolved by its labels, and trades a resolved one for room when
 full; the loader settles an equal-label payload edge the same way.
-`Processor.process_bundle` hands it whole bundles of edges, behind an
-optional connectivity or count query, from a processor with nothing queued
-and no builder token arriving, the builder included outside a deletion, and
-an aging relay's, after which that processor tests k-1 of its own edges. The
-general path has no edge rules of its own: it hands the hop every other edge
-one slot at a time.
+The hop takes whole bundles of edges, behind an optional connectivity or
+count query, at a processor with nothing queued and no builder token
+arriving, the builder included outside a deletion, and at an aging relay,
+which then tests k-1 of its own edges. It leaves every other bundle to the
+general path, which has no edge rules of its own: that hands the hop every
+edge one slot at a time.
 
 The same rules once also ran on the general path. The digests pinned below
 were recorded from that copy with the hop switched off, and the hop gave the
@@ -29,7 +29,6 @@ each kind is known to be exercised.
 import copy
 import hashlib
 import random
-import types
 from collections import Counter, deque
 
 from hypothesis import given, settings, strategies as st
@@ -83,17 +82,28 @@ def hop_kind(proc, b):
 def run_pinned(monkeypatch, cfg, items):
     """The digest of the run and its failure, if any (a ring this small can
     exhaust its storage during a rebuild), and the hops taken by kind."""
-    transit = Processor._transit
+    hop = Processor.process_bundle
+    general = Processor._general
     hops = Counter()
+    declines = [0]
 
-    def counted(proc, b):
+    def declined(proc, b):
+        declines[0] += 1
+        return general(proc, b)
+
+    def counted(proc, b, one=False):
+        # a one-slot handoff runs inside the general path's call, after it
+        # counted the decline of the whole bundle
         kind = hop_kind(proc, b)
-        out = transit(proc, b)
-        if out is not None and not b.is_empty():
+        before = declines[0]
+        out = hop(proc, b, one)
+        if declines[0] == before and not b.is_empty():
             hops[kind] += 1
         return out
 
-    monkeypatch.setattr(Processor, "_transit", counted)
+    monkeypatch.setattr(Processor, "_general", declined)
+    monkeypatch.setattr(Processor, "process_bundle", counted)
+    monkeypatch.setattr(Processor, "_hop", counted)
     ring = Ring(RingConfig(validate=True, taps=True, **cfg))
     failed = None
     try:
@@ -210,7 +220,40 @@ def test_arrivals_and_queries_never_reach_the_general_path(monkeypatch):
 # bundles to the general path, which hands the hop one slot at a time
 ROLES = ("builder-space", "builder-full", "sealed", "relay-space", "relay-full",
          "aging", "aging-builder", "aging-loader")
-VERTICES = 10
+VERTICES = 10  # stored pairs draw from range(VERTICES): none holds VERTICES
+DECLINED = object()  # what the stubbed general path returns
+
+
+class _ExitCopy(Processor):
+    """The hop as it is, its general path stubbed out."""
+
+    __slots__ = ()
+
+    def _general(self, b):
+        return DECLINED
+
+
+class _RulesCopy(_ExitCopy):
+    """The rules without the exit, the general path stubbed out."""
+
+    __slots__ = ()
+    process_bundle = _hop = transit_rules
+
+
+class _RulesTick(Processor):
+    """The whole tick, the general path included, with the rules standing
+    in for the hop."""
+
+    __slots__ = ()
+    process_bundle = _hop = transit_rules
+
+
+def _copy(proc, b, cls):
+    """Deep copies of `proc` and `b`, which may be `proc._one`, the
+    processor recast as `cls`, a subclass that adds no slots."""
+    proc, b = copy.deepcopy((proc, b))
+    proc.__class__ = cls
+    return proc, b
 
 
 def _snap(x):
@@ -243,16 +286,21 @@ def _state(proc):
             proc.deletions, [_snap(x) for x in proc.outq])
 
 
-def _draw_processor(data, role):
+def _draw_processor(data, role, tail=None, full=None):
+    """A processor in `role`; `tail` and, while aging, `full` are drawn
+    unless given."""
     s = data.draw(st.integers(3, 7), "s")
     k = data.draw(st.integers(2, 5), "k")
-    tail = not role.startswith("aging") and data.draw(st.integers(0, 3), "tail") == 0
+    if tail is None:
+        tail = not role.startswith("aging") and data.draw(st.integers(0, 3), "tail") == 0
     proc = Processor(2 if tail else 1, RingConfig(p=3, s=s, k=k))
     # a spanning forest, then non-tree edges stored under equal labels
     ntree = {"sealed": s, "relay-space": 0, "relay-full": 0}.get(
         role, data.draw(st.integers(0, s - 1), "ntree"))
-    full = role in ("builder-full", "sealed", "relay-full") or (
-        role.startswith("aging") and data.draw(st.integers(0, 3), "full") > 0)
+    if not role.startswith("aging"):
+        full = role in ("builder-full", "sealed", "relay-full")
+    elif full is None:
+        full = data.draw(st.integers(0, 3), "full") > 0
     stored = s if full else data.draw(st.integers(ntree, s - 1), "stored")
     pairs = [(u, v) for u in range(VERTICES) for v in range(u, VERTICES)]
     for u, v in data.draw(st.permutations(pairs), "pairs"):
@@ -279,13 +327,9 @@ def _draw_processor(data, role):
     return proc
 
 
-def _draw_edge(data, proc):
-    blocks = st.integers(0, VERTICES)
-    if proc.dup and data.draw(st.integers(0, 2), "stored key") == 0:
-        u, v = data.draw(st.sampled_from(sorted(proc.dup)), "key")
-    else:
-        u, v = data.draw(blocks, "u"), data.draw(blocks, "v")
+def _labelled(data, u, v):
     labels = data.draw(st.sampled_from(("primitive", "equal", "any")), "labels")
+    blocks = st.integers(0, VERTICES)
     if labels == "primitive":
         lu, lv = u, v
     elif labels == "equal":
@@ -295,14 +339,45 @@ def _draw_edge(data, proc):
     return LabeledEdge(u, v, lu, lv, t=data.draw(st.integers(0, 40), "t"))
 
 
-def _draw_bundle(data, proc):
-    if proc.aging and data.draw(st.booleans(), "one slot"):
+def _draw_edge(data, proc):
+    if proc.dup and data.draw(st.integers(0, 2), "stored key") == 0:
+        return _stored_edge(data, proc)
+    blocks = st.integers(0, VERTICES)
+    return _labelled(data, data.draw(blocks, "u"), data.draw(blocks, "v"))
+
+
+def _stored_edge(data, proc):
+    return _labelled(data, *data.draw(st.sampled_from(sorted(proc.dup)), "key"))
+
+
+def _fresh(data, lu=None, lv=None):
+    """An edge no drawn store holds, its labels drawn unless given."""
+    u = data.draw(st.integers(0, VERTICES - 1), "u")
+    if lu is None:
+        return _labelled(data, u, VERTICES)
+    return LabeledEdge(u, VERTICES, lu, lv, t=data.draw(st.integers(0, 40), "t"))
+
+
+def _equal(data):
+    label = data.draw(st.integers(0, VERTICES), "label")
+    return _fresh(data, label, label)
+
+
+def _apart(data):
+    """Labels no drawn union-find joins: it never holds block VERTICES."""
+    x = data.draw(st.integers(0, VERTICES - 1), "label")
+    return _fresh(data, *((VERTICES, x) if data.draw(st.booleans(), "swap") else (x, VERTICES)))
+
+
+def _draw_bundle(data, proc, one=None):
+    """A bundle for `proc`; a one-slot handoff (`one`) is drawn while aging
+    unless given."""
+    if one is None:
+        one = proc.aging and data.draw(st.booleans(), "one slot")
+    if one:
         # the general path's one-slot handoff, the only bundle an aging
         # builder or loader takes
-        b = proc._one
-        e = _draw_edge(data, proc)
-        b.primary, b.payload = (e, ()) if data.draw(st.booleans(), "primary") else (None, (e,))
-        return b
+        return _one_slot(data, proc, _draw_edge(data, proc))
     # a deletion suspends queries
     kinds = (("edge", "none", "edge", "probe") if proc.aging else
              ("none", "edge", "edge", "edge", "conn", "conn", "count", "probe"))
@@ -333,66 +408,187 @@ def _draw_bundle(data, proc):
     return Bundle(prim, payload)
 
 
+def _one_slot(data, proc, e, primary=None):
+    b = proc._one
+    if primary is None:
+        primary = data.draw(st.booleans(), "primary")
+    b.primary, b.payload = (e, ()) if primary else (None, (e,))
+    return b
+
+
+# bundles drawn for one outcome by construction, for the cases the
+# coverage floors count
+
+def _with(data, proc, b, item):
+    """`b`'s edges with `item` in a payload slot drawn at random, in place
+    of an edge when every slot is taken; a probe in the primary slot goes."""
+    payload = [x for x in b.payload if type(x) is LabeledEdge]
+    i = data.draw(st.integers(0, len(payload)), "slot")
+    if len(payload) == proc.k - 1:
+        payload[min(i, len(payload) - 1)] = item
+    else:
+        payload.insert(i, item)
+    return Bundle(None if type(b.primary) is StatsProbe else b.primary, payload)
+
+
+def _declined(data, proc):
+    # a payload slot holding anything but an edge
+    return _with(data, proc, _draw_bundle(data, proc, one=False), StatsProbe(0))
+
+
+def _changed(data, proc):
+    # a duplicate is absorbed; with nothing stored, an edge settles: in a
+    # payload slot with equal labels, or while aging in the primary slot
+    b = _draw_bundle(data, proc, one=False)
+    if proc.dup:
+        return _with(data, proc, b, _stored_edge(data, proc))
+    if proc.aging:
+        return Bundle(_fresh(data), _with(data, proc, b, _fresh(data)).payload)
+    return _with(data, proc, b, _equal(data))
+
+
+def _passed(data, proc):
+    """A whole bundle the rules pass on as it came, away from the tail: no
+    edge at a builder with space, which stores any; equal labels at a full
+    store, labels apart at a relay, and any fresh edge behind an empty
+    primary slot while aging."""
+    n = data.draw(st.integers(0, proc.k - 1), "payload")
+    if proc.aging:
+        return Bundle(None, [_fresh(data) for _ in range(n)])
+    if proc.is_builder and proc.stored < proc.s:
+        return Bundle(data.draw(st.sampled_from((None, CountQuery(0, 0))), "primary"), [])
+    edge = _equal if proc.stored >= proc.s else _apart
+    kind = data.draw(st.sampled_from(("none", "count", "edge")), "primary")
+    prim = None if kind == "none" else CountQuery(0, 0) if kind == "count" else edge(data)
+    return Bundle(prim, [edge(data) for _ in range(n)])
+
+
+def _primary_stays(data, proc):
+    # a full aging relay keeps a primary edge whose labels differ
+    n = data.draw(st.integers(0, proc.k - 1), "payload")
+    return Bundle(_apart(data), [_fresh(data) for _ in range(n)])
+
+
+def _primary_changed(data, proc):
+    n = data.draw(st.integers(0, proc.k - 1), "payload")
+    prim = _stored_edge(data, proc) if proc.dup else _fresh(data)
+    return Bundle(prim, [_fresh(data) for _ in range(n)])
+
+
+def _one_passed(data, proc):
+    # behind the builder a payload edge whose labels differ rides on
+    return _one_slot(data, proc, _apart(data), primary=False)
+
+
+def _one_changed(data, proc):
+    if proc.dup:
+        return _one_slot(data, proc, _stored_edge(data, proc))
+    return _one_slot(data, proc, _fresh(data), primary=True)
+
+
+def _relabelled(data, proc):
+    # a block the union-find renamed, beside one it never holds
+    renamed = sorted(b for b, c in proc.lc.sets.items() if c.name != b)
+    return Bundle(None, [_fresh(data, data.draw(st.sampled_from(renamed), "block"), VERTICES)])
+
+
+def _tree_edge(data, proc):
+    return Bundle(None, [_apart(data)])
+
+
+def _floored_cases():
+    """(role, counted key, fixed processor draws, bundle drawn) for every
+    case a coverage floor counts."""
+    for role in ROLES:
+        yield role, (role, "general path"), {}, _declined
+    for role in ROLES[:6]:
+        yield role, (role, "changed"), {}, _changed
+        yield role, (role, "identity"), {"tail": False}, _passed
+    yield "aging-builder", ("aging-builder", "changed"), {}, _one_changed
+    for role in ("aging", "aging-loader"):
+        yield role, (role, "one slot", "identity"), {}, _one_passed
+        yield role, (role, "one slot", "changed"), {}, _one_changed
+    yield "aging", ("aging", "primary edge", "identity"), {"full": True}, _primary_stays
+    yield "aging", ("aging", "primary edge", "changed"), {}, _primary_changed
+    yield "sealed", ("sealed", "relabelled"), {"tail": False}, _relabelled
+    yield "builder-full", ("builder-full", "payload tree edge"), {"tail": False}, _tree_edge
+
+
+def _check(data, role, draw_bundle=_draw_bundle, **fixed):
+    """One drawn case, through the hop and through the rules without its
+    exit; returns the keys it counts."""
+    proc = _draw_processor(data, role, **fixed)
+    b = draw_bundle(data, proc)
+    one = b is proc._one
+    exit_proc, exit_b = _copy(proc, b, _ExitCopy)
+    rules_proc, rules_b = _copy(proc, b, _RulesCopy)
+    got = exit_proc.process_bundle(exit_b, one)
+    want = rules_proc.process_bundle(rules_b, one)
+    if want is DECLINED:
+        # the exit may have relabelled edges ahead of a slot that sends
+        # the bundle to the general path, which relabels them again (below)
+        assert got is DECLINED
+        outcome = "general path"
+    elif want is rules_b:
+        assert got is exit_b
+        assert _slots(exit_b) == _slots(rules_b)
+        # passed on as it came, or relabelled (a query maybe answered)
+        outcome = "identity" if _labels(exit_b) == _labels(b) else "relabelled"
+    else:
+        assert got is not DECLINED and got is not exit_b
+        assert _slots(got) == _slots(want)
+        assert _slots(exit_b) == _slots(rules_b)
+        outcome = "changed"
+    assert _state(exit_proc) == _state(rules_proc)
+    keys = [(role, outcome)]
+    if one:
+        keys.append((role, "one slot", outcome))
+    elif type(b.primary) is LabeledEdge:
+        keys.append((role, "primary edge", outcome))
+    stored = {e.ck for e in rules_proc.tree} - proc.dup.keys()
+    if stored & {e.ck for e in b.payload if type(e) is LabeledEdge}:
+        keys.append((role, "payload tree edge"))
+    if not one:
+        # the whole tick, the general path included, with the rules
+        # standing in for the hop on the reference copy
+        exit_proc, exit_b = _copy(proc, b, Processor)
+        rules_proc, rules_b = _copy(proc, b, _RulesTick)
+        assert (_slots(exit_proc.process_bundle(exit_b))
+                == _slots(rules_proc.process_bundle(rules_b)))
+        assert _state(exit_proc) == _state(rules_proc)
+    return keys
+
+
 def test_identity_exit_matches_the_rules():
-    # the exit at the top of `_transit` returns the bundle only where the
+    # the exit at the top of the hop returns the bundle only where the
     # rules below it would, and leaves the processor as they leave it
     outcomes = Counter()
-
-    def check(data, roles):
-        role = data.draw(st.sampled_from(roles), "role")
-        proc = _draw_processor(data, role)
-        b = _draw_bundle(data, proc)
-        exit_proc, exit_b = copy.deepcopy((proc, b))
-        rules_proc, rules_b = copy.deepcopy((proc, b))
-        got = exit_proc._transit(exit_b)
-        want = transit_rules(rules_proc, rules_b)
-        if want is None:
-            # the exit may have relabelled edges ahead of a slot that sends
-            # the bundle to the general path, which relabels them again (below)
-            assert got is None
-            outcome = "general path"
-        elif want is rules_b:
-            assert got is exit_b
-            assert _slots(exit_b) == _slots(rules_b)
-            # passed on as it came, or relabelled (a query maybe answered)
-            outcome = "identity" if _labels(exit_b) == _labels(b) else "relabelled"
-        else:
-            assert got is not None and got is not exit_b
-            assert _slots(got) == _slots(want)
-            assert _slots(exit_b) == _slots(rules_b)
-            outcome = "changed"
-        assert _state(exit_proc) == _state(rules_proc)
-        outcomes[role, outcome] += 1
-        if b is proc._one:
-            outcomes[role, "one slot", outcome] += 1
-        elif type(b.primary) is LabeledEdge:
-            outcomes[role, "primary edge", outcome] += 1
-        stored = {e.ck for e in rules_proc.tree} - proc.dup.keys()
-        if stored & {e.ck for e in b.payload if type(e) is LabeledEdge}:
-            outcomes[role, "payload tree edge"] += 1
-        if b is not proc._one:
-            # the whole tick, the general path included, with the rules
-            # standing in for the hop on the reference copy
-            exit_proc, exit_b = copy.deepcopy((proc, b))
-            rules_proc, rules_b = copy.deepcopy((proc, b))
-            rules_proc._transit = types.MethodType(transit_rules, rules_proc)
-            assert (_slots(exit_proc.process_bundle(exit_b))
-                    == _slots(rules_proc.process_bundle(rules_b)))
-            assert _state(exit_proc) == _state(rules_proc)
 
     @settings(max_examples=1000)
     @given(st.data())
     def steady(data):
         # twice the roles whose bundles the exit passes most ways
-        check(data, ROLES[:5] + ("builder-full", "sealed"))
+        role = data.draw(st.sampled_from(ROLES[:5] + ("builder-full", "sealed")), "role")
+        outcomes.update(_check(data, role))
 
     @settings(max_examples=400)
     @given(st.data())
     def aging(data):
-        check(data, ROLES[5:] + ("aging",))
+        outcomes.update(_check(data, data.draw(st.sampled_from(ROLES[5:] + ("aging",)), "role")))
 
     steady()
     aging()
+    # each case a floor counts is drawn directly as well, so that the
+    # floors hold however the draws above fall
+    for role, key, fixed, draw_bundle in _floored_cases():
+        @settings(max_examples=10)
+        @given(st.data())
+        def case(data):
+            keys = _check(data, role, draw_bundle, **fixed)
+            assert key in keys, (key, keys)
+            outcomes.update(keys)
+
+        case()
     # an aging loader that is not the builder leaves every whole bundle to
     # the general path, and a one-slot handoff at an aging builder here
     # always finds room in a deletion

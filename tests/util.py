@@ -231,16 +231,19 @@ def audit_scan(ring):
     return found
 
 
-def transit_rules(proc, b):
+def transit_rules(proc, b, one=False):
     """The transit hop's rules without its identity exit:
-    `Processor._transit` with every bundle taking the rule loop, which
-    itself declines a whole bundle at an aging builder or loader. The
-    reference the exit is compared against."""
+    `Processor.process_bundle` with every bundle it does not leave to the
+    general path taking the rule loop, which itself declines a whole bundle
+    at an aging builder or loader. The reference the exit is compared
+    against."""
+    if (proc.outq or b.builder_token) and not one:
+        return proc._general(b)
     prim = b.primary
     payload = b.payload
     for e in payload:
         if type(e) is not LabeledEdge:
-            return None
+            return proc._general(b)
     builder = proc.is_builder
     aging = relay = proc.aging
     tp = type(prim)
@@ -249,13 +252,13 @@ def transit_rules(proc, b):
             # the builder ages only as the loader, whose own work runs on
             # the general path: that hands the hop one edge at a time and
             # tests nothing here
-            if b is not proc._one:
-                return None
+            if not one:
+                return proc._general(b)
             relay = False
         elif not (prim is None or tp is LabeledEdge):
-            return None
+            return proc._general(b)
     elif not (prim is None or tp is LabeledEdge or tp is ConnQuery or tp is CountQuery):
-        return None
+        return proc._general(b)
     dup = proc.dup
     # the union-find's block -> component map, read inline (see
     # unionfind); only the builder and a sealed processor hold one
@@ -399,14 +402,25 @@ def transit_rules(proc, b):
                 token = True
                 builder = proc.is_builder = False
                 proc.sealed = True
-    if relay and proc.untested and b is not proc._one:
+    if relay and proc.untested and not one:
         proc._downstream_testing()
-    if not changed:
-        return b
-    if len(fwd) == proc.k:
-        # every payload slot is taken: the last item spills into the
-        # free primary slot, as the general path's `Packer` packs it
-        prim = fwd.pop()
-    if prim is None and not fwd and not token:
-        return EMPTY_BUNDLE
-    return Bundle(prim, fwd, token)
+    out = b
+    if changed:
+        if len(fwd) == proc.k:
+            # every payload slot is taken: the last item spills into the
+            # free primary slot, as the general path's `Packer` packs it
+            prim = fwd.pop()
+        if prim is None and not fwd and not token:
+            out = EMPTY_BUNDLE
+        else:
+            out = Bundle(prim, fwd, token)
+    monitor = proc.monitor
+    if monitor is None or one or aging or not monitor.should_start(proc.stored):
+        return out
+    # the policy starts on this tick: its probe takes the first free
+    # payload slot, or waits in the queue
+    probe = monitor.start()
+    if len(out.payload) < proc.k - 1:
+        return Bundle(out.primary, [*out.payload, probe], out.builder_token)
+    proc.outq.append(probe)
+    return out
