@@ -542,7 +542,8 @@ class Processor:
         elif type(item) is TreeCommand:
             self.scratch = QueryScratch("tree", item.qid)
             if self.is_head:
-                self._emit_tree_edges(item.qid)
+                self._emit_tree_edges()
+                self.outq.append(TreeDumpEnd(item.qid))
                 self.scratch = None
             pk.set_primary(item)
         elif type(item) is SmallCommand:
@@ -585,7 +586,9 @@ class Processor:
         elif t is TreeEdgeMsg:
             self.outq.append(item)
         elif t is TreeDumpEnd:
-            self._emit_tree_edges(item.qid)
+            # only the head makes the marker; the rest add their edges ahead
+            # of it
+            self._emit_tree_edges()
             self.outq.append(item)
             self.scratch = None
         elif t is SizeMsg:
@@ -871,10 +874,9 @@ class Processor:
             for v in sc.confirmed_orphans:
                 self.outq.append(VertexMsg(v, v))
 
-    def _emit_tree_edges(self, qid):
+    def _emit_tree_edges(self):
         for e in self.tree:
             self.outq.append(TreeEdgeMsg(e.u, e.v, e.t))
-        self.outq.append(TreeDumpEnd(qid))
 
     # ------------------------------------------------------------- policy
 

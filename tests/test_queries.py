@@ -11,6 +11,7 @@ from ringcc.model import (
 )
 from ringcc.aging import TimestampThreshold
 from ringcc.multipass import partition, static_cc
+from ringcc.queries import DumpEnd, PhaseDone, QueryDone, TreeDumpEnd
 from ringcc.ring import Ring, RingConfig
 
 
@@ -111,6 +112,38 @@ def test_tree_dump_is_spanning_forest():
     comp_count = len(set(labels.values()))
     assert len(got) == len(vertices) - comp_count
     assert partition(static_cc(got + [(v, v) for v in vertices])) == partition(labels)
+
+
+def test_one_end_marker_per_hop():
+    # only the head makes a query's end marker; every later processor adds
+    # its share ahead of it and forwards it, so the marker crosses each of
+    # the p - 1 links and the return once (a TREE once sent 2^p - 1)
+    path = [Arrival(i, i + 1) for i in range(39)]
+    for query, want_ends, want_phase in [(SpanningTree(), 8, 0), (DumpLabels(), 8, 0),
+                                         (SmallComponents(3), 8, 8), (MaxComponent(), 0, 8)]:
+        ring = run(Ring(RingConfig(p=8, s=5, k=5, validate=True)), path)
+        ring.tick(query)
+        ends = phase = 0
+        for _ in range(60):
+            if ring.quiescent():
+                break
+            for b in (*ring.links[1:], ring.junction_return):
+                for x in (b.primary, *b.payload):
+                    ends += type(x) in (DumpEnd, TreeDumpEnd, QueryDone)
+                    phase += type(x) is PhaseDone
+            ring.tick(None)
+        assert ring.quiescent(), query
+        assert (ends, phase) == (want_ends, want_phase), query
+        assert ring.violations == []
+
+
+def test_tree_of_a_full_ring_drains_with_each_edge_once():
+    path = [(i, i + 1) for i in range(39)]
+    ring = Ring(RingConfig(p=8, s=5, k=5, validate=True))
+    ring.run_stream([Arrival(u, v) for u, v in path] + [SpanningTree()])
+    got = [(e[4], e[5]) for e in ring.transcript.outputs("tree-edge")]
+    assert sorted(got) == path
+    assert len(ring.transcript.outputs("done")) == 1
 
 
 # ----------------------------------------------------------------- max component

@@ -48,22 +48,21 @@ PINNED = {
     (1, 2): ("7451f6815f5d8935514c3b3b6b62326c410ad2a3de3a2f7f3f766a54056d5a74", None),
     (1, 3): ("31e8399259543dcfcac8f1838b83ca4bda922adf54c0c6d6679c16b80b143c3e", None),
     (1, 5): ("7204c1e8a01fb248e573e8ab54b8431968724f97419dfb96a3fffd2311ccbef6", None),
-    (2, 2): ("475e30ba62fa2fa184def3a40df50c7db06bf6ea48f4f6ef804e57ead1bd0c19", None),
+    (2, 2): ("0c7a4d930d98d0ceaa7fd0fdb91dffc2694287c437f0ef4eab282d9e38eda8c5", None),
     (2, 3): ("9fc01671e5b2cee7b00cae708e6c72e53fd2ba2efa57a2856f4aef09e5fb4943", None),
     (2, 5): ("27790c307425d12726b97f6242b5af76b320550625096bfa9bd97ea932590904", None),
-    (5, 2): ("527273c0c6735a6819451de79f3f65d7caf3e6afa959219faa3d56f48593040d", None),
+    (5, 2): ("a57651a363ebc42a8f74f419630f5e348cf8d60cf397f9a6aab960a0c79f6c95", None),
     (5, 3): ("bf14633f5ec7240c78c686a2c39c0d346b2f31c48c693928b6634fb0c1f50a90", None),
     (5, 5): ("78f8b7ca60263dd647f368567a83ca55a4b3b61d88eda18c5b2c404d11b93f4d", None),
-    (10, 2): ("77f6babddac87bb64836d0d2cc5bd0332b35228709c8c68ba3f489107ce3fd9a",
-              "tick 1761: storage exhausted at processor 9"),
-    (10, 3): ("c84f5bc32eaa5a30f492c76751a1eab2807c408f7bf26e6fa5e2971f3aaddef3", None),
-    (10, 5): ("42f7799acf29140409ff7f70d3a5729931a3dae4dafe530884c039202ffb98a1", None),
+    (10, 2): ("659a8b942a5d249b4f28ff4bef23132316daed060023c520b2e43ac9b4c8f496", None),
+    (10, 3): ("510dd23700cc653a2b32c03a02d57092cf9087625bb967fb66405073282965e0", None),
+    (10, 5): ("2b3568051231b4fd2f0ee82d9657ca8a2a64a0385909a32d20260612f2033998", None),
 }
 PINNED_FULL_TAIL = ("ea75673e50652770c1009f295062afac5302f690823b6c474da2ea41889f2397",
                     "tick 44: storage exhausted at processor 3")
 
 # SHA-256 of 300 small rings run to quiescence or failure
-PINNED_SMALL = "3396ce326edef445d1890ae70df1c9724f1369fa63b827065ab8f0c6ac3125d9"
+PINNED_SMALL = "21986c6c4c3a2bdbf9fcbb97b7ea8bb20a2e42e7bd4a30ee13af5b858986738b"
 
 
 def hop_kind(proc, b):
