@@ -227,15 +227,10 @@ class AutoAgeMonitor:
     from each processor's reservoir in one ring circuit per probe.
     """
 
-    __slots__ = ("target_c", "margin", "p", "s", "k", "max_circuits",
-                 "phase", "gen", "search", "trigger_stored")
+    __slots__ = ("target_c", "max_circuits", "phase", "gen", "search", "trigger_stored")
 
     def __init__(self, target_c, margin, p, s, k, max_circuits=16):
         self.target_c = target_c
-        self.margin = margin
-        self.p = p
-        self.s = s
-        self.k = k
         self.max_circuits = max_circuits
         self.phase = "idle"
         self.gen = 0

@@ -77,17 +77,12 @@ from .model import (
 from .queries import (
     ConnQuery,
     CountQuery,
-    DumpCommand,
-    DumpEnd,
     DumpPair,
-    MaxCommand,
     PhaseDone,
-    QueryDone,
+    QueryCommand,
+    QueryEnd,
     QueryScratch,
     SizeMsg,
-    SmallCommand,
-    TreeCommand,
-    TreeDumpEnd,
     TreeEdgeMsg,
     VertexMsg,
 )
@@ -191,9 +186,7 @@ class Processor:
 
         self.monitor = None
         if self.is_tail and config.auto_age_c is not None:
-            self.monitor = AutoAgeMonitor(
-                config.auto_age_c, config.auto_age_margin,
-                config.p, config.s, config.k, config.search_circuits)
+            self._arm_monitor(config.auto_age_c)
 
         self._pk = Packer(config.k)
         self._one = Bundle()
@@ -531,33 +524,17 @@ class Processor:
         elif type(item) is AgingToken:
             self.begin_aging(item.predicate)
             pk.set_primary(item)
-        elif type(item) is DumpCommand:
-            self.scratch = QueryScratch("dump", item.qid)
+        elif type(item) is QueryCommand:
+            kind = item.kind
+            self.scratch = QueryScratch(kind, item.qid, item.limit)
             if self.is_head:
-                for block, name in self.lc.relationships():
-                    self.outq.append(DumpPair(block, name))
-                self.outq.append(DumpEnd(item.qid))
-                self.scratch = None
-            pk.set_primary(item)
-        elif type(item) is TreeCommand:
-            self.scratch = QueryScratch("tree", item.qid)
-            if self.is_head:
-                self._emit_tree_edges()
-                self.outq.append(TreeDumpEnd(item.qid))
-                self.scratch = None
-            pk.set_primary(item)
-        elif type(item) is SmallCommand:
-            self.scratch = QueryScratch("small", item.qid, item.limit)
-            if self.is_head:
-                self._finish_sizes()  # nothing upstream folds into the head
-                self._emit_sizes(PhaseDone(item.qid))
-            pk.set_primary(item)
-        elif type(item) is MaxCommand:
-            self.scratch = QueryScratch("max", item.qid)
-            if self.is_head:
-                self._finish_sizes()
-                self._emit_sizes(PhaseDone(item.qid))
-                self.scratch = None
+                if kind == "dump" or kind == "tree":
+                    self._finish_query(QueryEnd(item.qid, kind))
+                else:
+                    self._finish_sizes()  # nothing upstream folds into the head
+                    self._emit_sizes(PhaseDone(item.qid))
+                    if kind == "max":
+                        self.scratch = None
             pk.set_primary(item)
         elif type(item) is ArmAutoAge:
             if self.reservoir is None:
@@ -578,19 +555,8 @@ class Processor:
         elif t is DumpPair:
             item.name = self.lc.relabel(item.name)
             self.outq.append(item)
-        elif t is DumpEnd:
-            for block, name in self.lc.relationships():
-                self.outq.append(DumpPair(block, name))
-            self.outq.append(item)
-            self.scratch = None
         elif t is TreeEdgeMsg:
             self.outq.append(item)
-        elif t is TreeDumpEnd:
-            # only the head makes the marker; the rest add their edges ahead
-            # of it
-            self._emit_tree_edges()
-            self.outq.append(item)
-            self.scratch = None
         elif t is SizeMsg:
             sc = self.scratch
             if sc is not None and item.name in sc.orphan_pending and item.size == 1:
@@ -618,9 +584,7 @@ class Processor:
                 self.outq.append(item)
             elif self.is_head:
                 # sizes are final everywhere; start shipping member vertices
-                self._emit_vertices()
-                self.outq.append(QueryDone(sc.qid))
-                self.scratch = None
+                self._finish_query(QueryEnd(sc.qid, "small"))
             else:
                 self._finish_sizes()
                 self._emit_sizes(item)
@@ -636,11 +600,11 @@ class Processor:
                 # otherwise the enclosing component is too large: dropped
             else:
                 self.outq.append(item)
-        elif t is QueryDone:
+        elif t is QueryEnd:
             if self.scratch is not None:
-                self._emit_vertices()
-            self.outq.append(item)
-            self.scratch = None
+                self._finish_query(item)
+            else:
+                self.outq.append(item)
         elif t is StatsProbe:
             self._fold_stats(item)
             if self.is_tail:
@@ -860,23 +824,33 @@ class Processor:
             self.outq.append(SizeMsg(v, 1))
         self.outq.append(end_token)
 
-    def _emit_vertices(self):
-        sc = self.scratch
-        limit = sc.limit
-        sizes = sc.final_sizes
-        skip = sc.upstream_names
-        for block, vertex, rep in self.lc.member_vertices():
-            if block in skip:
-                continue  # an upstream component's name, not a vertex of ours
-            if sizes.get(rep, 0) <= limit:
-                self.outq.append(VertexMsg(rep, vertex))
-        if limit >= 1:
-            for v in sc.confirmed_orphans:
-                self.outq.append(VertexMsg(v, v))
-
-    def _emit_tree_edges(self):
-        for e in self.tree:
-            self.outq.append(TreeEdgeMsg(e.u, e.v, e.t))
+    def _finish_query(self, end):
+        """Queue this processor's share of the answer `end` closes, then
+        `end`, and drop the scratch: the head calls it with the marker it
+        makes, every later processor with the one it receives."""
+        outq = self.outq
+        kind = end.kind
+        if kind == "dump":
+            for block, name in self.lc.relationships():
+                outq.append(DumpPair(block, name))
+        elif kind == "tree":
+            for e in self.tree:
+                outq.append(TreeEdgeMsg(e.u, e.v, e.t))
+        else:
+            sc = self.scratch
+            limit = sc.limit
+            sizes = sc.final_sizes
+            skip = sc.upstream_names
+            for block, vertex, rep in self.lc.member_vertices():
+                if block in skip:
+                    continue  # an upstream component's name, not a vertex of ours
+                if sizes.get(rep, 0) <= limit:
+                    outq.append(VertexMsg(rep, vertex))
+            if limit >= 1:
+                for v in sc.confirmed_orphans:
+                    outq.append(VertexMsg(v, v))
+        outq.append(end)
+        self.scratch = None
 
     # ------------------------------------------------------------- policy
 

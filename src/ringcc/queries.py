@@ -3,12 +3,15 @@ scratch used by non-constant queries, and the I/O-side registry that tracks
 one active non-constant query at a time.
 
 Constant queries (connectivity, edge count) travel in primary slots and exit
-after exactly one circuit. Non-constant queries stream their answers through
-payload slots: label dumps relabel (block, name) pairs at every hop; small
+after exactly one circuit. The four non-constant queries share one command,
+`QueryCommand`, named by its kind, and stream their answers through payload
+slots. Each processor's share of an answer goes out ahead of the one end
+marker, `QueryEnd`: label dumps ship (block, name) pairs that are relabeled
+at every later hop, tree dumps ship the stored tree edges, and small
 component enumeration runs two phases, first folding exact component sizes
-downstream, then shipping (component, vertex) pairs that are relabeled or
-dropped in flight. The maximum-component query is phase one alone with a
-running maximum folded at the I/O side.
+downstream behind a `PhaseDone`, then shipping (component, vertex) pairs
+that are relabeled or dropped in flight. The maximum-component query is
+phase one alone with a running maximum folded at the I/O side.
 """
 
 from __future__ import annotations
@@ -41,36 +44,20 @@ class CountQuery:
         self.t = t
 
 
-# -- non-constant query commands (primary slot) -------------------------------
+# -- non-constant query command (primary slot) --------------------------------
 
-class QidMessage:
-    """A command or end marker that carries only its query's id. Each kind
-    is an empty subclass, since slots are dispatched on the exact class."""
+class QueryCommand:
+    """Starts a non-constant query at every processor it passes. `kind` is
+    "dump", "tree", "small" or "max", the vocabulary `QueryScratch` and
+    `ActiveQuery` share; `limit` bounds a small-component query and is None
+    for the others."""
 
-    __slots__ = ("qid",)
+    __slots__ = ("qid", "kind", "limit")
 
-    def __init__(self, qid):
+    def __init__(self, qid, kind, limit):
         self.qid = qid
-
-
-class DumpCommand(QidMessage):
-    __slots__ = ()
-
-
-class TreeCommand(QidMessage):
-    __slots__ = ()
-
-
-class SmallCommand:
-    __slots__ = ("qid", "limit")
-
-    def __init__(self, qid, limit):
-        self.qid = qid
+        self.kind = kind
         self.limit = limit
-
-
-class MaxCommand(QidMessage):
-    __slots__ = ()
 
 
 # -- payload messages ----------------------------------------------------------
@@ -121,23 +108,28 @@ class VertexMsg:
         self.vertex = vertex
 
 
-class PhaseDone(QidMessage):
+class PhaseDone:
     """End of the size-folding phase; held by each processor until its own
     sizes have been emitted."""
 
-    __slots__ = ()
+    __slots__ = ("qid",)
+
+    def __init__(self, qid):
+        self.qid = qid
 
 
-class QueryDone(QidMessage):
-    __slots__ = ()
+class QueryEnd:
+    """End of a query's answer stream: a dump, a tree, or a small query's
+    member phase. Only the head makes it, behind its own share; each later
+    processor queues its share (label pairs, tree edges or member vertices)
+    ahead of it and forwards it, so it reaches the I/O side once, after
+    every answer."""
 
+    __slots__ = ("qid", "kind")
 
-class DumpEnd(QidMessage):
-    __slots__ = ()
-
-
-class TreeDumpEnd(QidMessage):
-    __slots__ = ()
+    def __init__(self, qid, kind):
+        self.qid = qid
+        self.kind = kind
 
 
 # -- per-processor scratch ------------------------------------------------------
@@ -168,11 +160,9 @@ class QueryScratch:
 # -- I/O-side registry ------------------------------------------------------------
 
 class ActiveQuery:
-    __slots__ = ("qid", "kind", "tick", "limit", "max_size")
+    __slots__ = ("qid", "kind", "max_size")
 
-    def __init__(self, qid, kind, tick, limit=None):
+    def __init__(self, qid, kind):
         self.qid = qid
         self.kind = kind
-        self.tick = tick
-        self.limit = limit
         self.max_size = 0

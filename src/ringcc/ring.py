@@ -59,16 +59,11 @@ from .queries import (
     ActiveQuery,
     ConnQuery,
     CountQuery,
-    DumpCommand,
-    DumpEnd,
     DumpPair,
-    MaxCommand,
     PhaseDone,
-    QueryDone,
+    QueryCommand,
+    QueryEnd,
     SizeMsg,
-    SmallCommand,
-    TreeCommand,
-    TreeDumpEnd,
     TreeEdgeMsg,
     VertexMsg,
 )
@@ -192,6 +187,12 @@ class _Rendered:
 
 
 DEFERRED = _Rendered("(deferred)")
+
+# the non-constant query each stream item starts, named as `QueryCommand`,
+# `QueryScratch` and `ActiveQuery` name it
+_QUERY_KINDS = {MaxComponent: "max", SmallComponents: "small", SpanningTree: "tree",
+                DumpLabels: "dump"}
+
 # stream items an IN record keeps by reference; any other object is rendered
 # at its own tick, so one that cannot render fails there
 _VALUE_ITEMS = frozenset((Arrival, Connectivity, EdgeCount, MaxComponent,
@@ -396,7 +397,7 @@ class IOJunction:
                 override = prim
             elif t is FailSignal:
                 raise SystemFailed(tick, f"storage exhausted at processor {prim.index}")
-            elif t in (DumpCommand, TreeCommand, SmallCommand, MaxCommand, ArmAutoAge):
+            elif t is QueryCommand or t is ArmAutoAge:
                 pass  # command finished its circuit
             else:
                 ts.record_evt(tick, f"unrecognized return {prim!r}")
@@ -437,7 +438,7 @@ class IOJunction:
                 elif self.active is not None and self.active.kind == "max":
                     ts.record_out(tick, self.active.qid, "max", self.active.max_size)
                     self.active = None
-            elif t in (QueryDone, DumpEnd, TreeDumpEnd):
+            elif t is QueryEnd:
                 if self.active is not None:
                     ts.record_out(tick, self.active.qid, "done")
                     self.active = None
@@ -512,29 +513,20 @@ class IOJunction:
             return None
         if self.config.record_inputs:
             ts.record_in(tick, item if t in _VALUE_ITEMS else _Rendered(item.render()))
-        if t in (Connectivity, EdgeCount, MaxComponent, SmallComponents,
-                 SpanningTree, DumpLabels):
+        if t is Connectivity or t is EdgeCount or t in _QUERY_KINDS:
             qid = self._qid()
             # at most one non-constant query is active at a time
             if self._queries_suspended(tick) or (
-                    self.active is not None and t not in (Connectivity, EdgeCount)):
+                    self.active is not None and t in _QUERY_KINDS):
                 ts.record_out(tick, qid, "busy")
                 return None
             if t is Connectivity:
                 return ConnQuery(qid, item.u, item.v, tick)
             if t is EdgeCount:
                 return CountQuery(qid, tick)
-            if t is MaxComponent:
-                self.active = ActiveQuery(qid, "max", tick)
-                return MaxCommand(qid)
-            if t is SmallComponents:
-                self.active = ActiveQuery(qid, "small", tick, item.limit)
-                return SmallCommand(qid, item.limit)
-            if t is SpanningTree:
-                self.active = ActiveQuery(qid, "tree", tick)
-                return TreeCommand(qid)
-            self.active = ActiveQuery(qid, "dump", tick)
-            return DumpCommand(qid)
+            kind = _QUERY_KINDS[t]
+            self.active = ActiveQuery(qid, kind)
+            return QueryCommand(qid, kind, item.limit if t is SmallComponents else None)
         if t is Age:
             if self.mode == "aging":
                 ts.record_evt(tick, "age command ignored: deletion already active")
@@ -577,7 +569,7 @@ class Ring:
 
     __slots__ = ("config", "t", "transcript", "violations", "junction", "hooks",
                  "processors", "links", "junction_return", "_active", "failed",
-                 "aging_ticks", "suspended_ticks", "aging_started_tick", "aging_log",
+                 "suspended_ticks", "aging_started_tick", "aging_log",
                  "_pre_aging_stored", "metrics", "tap_edges", "tap_dump")
 
     def __init__(self, config):
@@ -594,7 +586,6 @@ class Ring:
         # be a no-op. The first tick calls all, which is always safe.
         self._active = list(range(config.p))
         self.failed = False
-        self.aging_ticks = 0
         self.suspended_ticks = 0  # aging plus the post-deletion settle window
         self.aging_started_tick = None
         self.aging_log = []
@@ -619,10 +610,7 @@ class Ring:
             raise
         self.junction_return = EMPTY_BUNDLE
         ran = self._advance(head_in)
-        if junction.mode == "aging":
-            self.aging_ticks += 1
-            self.suspended_ticks += 1
-        elif self.t < junction.age_hold_until:
+        if junction.mode == "aging" or self.t < junction.age_hold_until:
             self.suspended_ticks += 1
         if ran is not None:
             if self.tap_edges is not None:

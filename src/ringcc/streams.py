@@ -193,9 +193,14 @@ def gen_rmat(n, scale=12, corners=(0.45, 0.15, 0.15, 0.25), seed=0):
     return out
 
 
-def interleave_queries(edges, every=10, seed=0, unseen_prob=0.1, vertex_pool=None):
+# share of interleaved queries that probe a vertex no edge has touched
+UNSEEN_PROB = 0.1
+
+
+def interleave_queries(edges, every=10, seed=0):
     """Edge arrivals with a connectivity query after every `every` edges,
-    probing mostly seen vertices plus the occasional unseen one."""
+    probing mostly seen vertices plus, with probability `UNSEEN_PROB`, an
+    unseen one."""
     rng = random.Random(seed)
     seen = []
     seen_set = set()
@@ -208,7 +213,7 @@ def interleave_queries(edges, every=10, seed=0, unseen_prob=0.1, vertex_pool=Non
                 seen_set.add(w)
                 seen.append(w)
         if i % every == 0:
-            if rng.random() < unseen_prob or not seen:
+            if rng.random() < UNSEEN_PROB or not seen:
                 a = fresh_unseen
                 fresh_unseen -= 1
                 b = rng.choice(seen) if seen else a

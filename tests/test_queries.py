@@ -11,7 +11,7 @@ from ringcc.model import (
 )
 from ringcc.aging import TimestampThreshold
 from ringcc.multipass import partition, static_cc
-from ringcc.queries import DumpEnd, PhaseDone, QueryDone, TreeDumpEnd
+from ringcc.queries import PhaseDone, QueryEnd
 from ringcc.ring import Ring, RingConfig
 
 
@@ -129,7 +129,7 @@ def test_one_end_marker_per_hop():
                 break
             for b in (*ring.links[1:], ring.junction_return):
                 for x in (b.primary, *b.payload):
-                    ends += type(x) in (DumpEnd, TreeDumpEnd, QueryDone)
+                    ends += type(x) is QueryEnd
                     phase += type(x) is PhaseDone
             ring.tick(None)
         assert ring.quiescent(), query

@@ -27,6 +27,7 @@ from ringcc.streams import (
     gen_repeat_block,
     gen_rmat,
     gen_uniform,
+    interleave_queries,
     iter_uniform,
     parse_stream_lines,
     render_items,
@@ -165,6 +166,15 @@ def test_uniform_draws_every_pair_then_refuses():
         "refused: all 21 pairs of 7 vertices drawn; no fresh pair is left",
         "refused: all 0 pairs of 1 vertices drawn; no fresh pair is left",
     ]
+
+
+def test_interleaved_queries_are_pinned_and_take_no_unread_argument():
+    items = interleave_queries(gen_uniform(2000, 0.67, seed=3), every=7, seed=3)
+    assert (hashlib.sha256(render_items(items).encode()).hexdigest()
+            == "5908354a0725d69b3616bae021f7e5432f815a3cb76a07ccf9b8a1f44235546d")
+    # the vertex pool was accepted and never read; it is refused now
+    with pytest.raises(TypeError):
+        interleave_queries([(0, 1)], vertex_pool=[0, 1])
 
 
 def degree_tail_ratio(edges):
