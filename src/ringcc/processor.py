@@ -737,6 +737,10 @@ class Processor:
             if not self.untested:
                 self._pass_loader_token(pk)
                 break
+            if i == self.k - 1 and pk.primary is not None and not pk.payload_space():
+                # no slot is free for the last test's spill: the edge waits
+                # at the front of the pool until the next tick
+                break
             e = self.untested.popleft()
             self._drop(e)
             if pred(e):

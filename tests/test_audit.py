@@ -90,6 +90,21 @@ def test_builder_token_riding_with_the_deletion_token_keeps_the_audit_clean():
     assert ring.violations == []
 
 
+def test_a_full_head_at_k2_defers_its_last_test_instead_of_overflowing():
+    # p=3 s=59 k=2: a full head takes a stream edge and a recycled edge on
+    # one deletion tick, and both evict, so no slot is left for the last
+    # test's spill. The test waits a tick; the ring still runs out of
+    # storage later, which is another defect (ROADMAP item 9)
+    config, items = backlog_stream(412)
+    assert type(items[0]) is AutoAge
+    ring = Ring(config)
+    try:
+        ring.run_stream(items[1:])
+    except SystemFailed:
+        pass
+    assert ring.violations == []
+
+
 def test_summaries_match_the_scan_where_the_audit_flags():
     flagged = Counter()
     for seed in FLAGGED_SEEDS:
