@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 
 from ringcc.aging import TimestampThreshold
 from ringcc.model import IDLE, Age, Arrival, AutoAge, Connectivity, EdgeCount
-from ringcc.processor import SlotOverflow
 from ringcc.ring import Ring, RingConfig, SystemFailed
 
 from test_idle_skip import drain_padding, mixed_items
@@ -25,8 +24,8 @@ def rows(found):
 def run_compared(config, items):
     """Run `items` while every audit is also made by the scan and must
     match it. Returns the number of audits and of those that found
-    something. Running out of storage or of bundle slots ends the run, an
-    allowed outcome on small rings."""
+    something. Running out of storage ends the run, an allowed outcome on
+    small rings."""
     seen = Counter()
     audit = Ring.audit_invariants
 
@@ -41,7 +40,7 @@ def run_compared(config, items):
         mp.setattr(Ring, "audit_invariants", compared)
         try:
             Ring(config).run_stream(items, drain=False)
-        except (SystemFailed, SlotOverflow):
+        except SystemFailed:
             pass
     return seen
 
