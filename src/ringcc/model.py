@@ -124,8 +124,8 @@ class Bundle:
 
     Slot 0 is the primary (new stream traffic); the remaining k-1 payload
     slots carry recycled edges and query messages. The builder token is a
-    flag on the bundle and does not consume a slot. Absent payload entries
-    mean empty slots; a processor that ingests k slots emits k slots.
+    flag on the bundle and does not consume a slot. A processor that
+    ingests k slots emits k slots.
     """
 
     __slots__ = ("primary", "payload", "builder_token")
@@ -139,9 +139,8 @@ class Bundle:
         return self.primary is None and not self.payload and not self.builder_token
 
     def occupied(self):
-        """Number of occupied slots (primary plus non-empty payload entries)."""
-        payload = self.payload
-        n = len(payload) - payload.count(None)
+        """Number of occupied slots: the primary, if any, and the payload."""
+        n = len(self.payload)
         return n if self.primary is None else n + 1
 
     def __repr__(self):

@@ -4,10 +4,10 @@ A processor ingests a k-slot bundle each tick, updates its stores, and emits
 exactly k slots. New edges are classified against the local union-find on
 their way to the builder; duplicates are absorbed wherever their stored copy
 lives; non-tree edges settle into the first open space. During bulk deletion
-the same driver additionally runs the testing and recycling phases.
+the same hop additionally runs the testing and recycling phases.
 
-The rules for an edge at every processor live in one place, the transit hop
-(`Processor.process_bundle`):
+Every bundle takes one path, the hop (`Processor.process_bundle`), at every
+processor and in every role. Its rules for an edge:
 
 - a duplicate is absorbed and the stored copy keeps the newer timestamp;
 - the builder and a sealed processor relabel an edge whose labels differ
@@ -28,27 +28,26 @@ The rules for an edge at every processor live in one place, the transit hop
   its output carries the builder token;
 - a full tail sends a `FailSignal` where it would have settled an edge.
 
-A processor with nothing queued and no builder token arriving hands the hop
-a whole bundle of edges, unless it is the builder or the loader during a
-deletion. Outside a deletion a connectivity or count query may ride in the
-primary slot, and the hop relabels its endpoints and answers it once they
-meet, or adds the stored count; at the tail the automatic policy may then
-start. While aging the processor tests k-1 of its own untested edges after
-the payload. Every other bundle takes the general path, which has no edge
-rules of its own: it hands the hop each edge one slot at a time. One
-function is both the hop the ring calls and that one-slot hop; the general
-path calls it through the private alias `_hop`, because the benchmark's
-tracer wraps the public name to count one call per scheduled hop.
+Every other item is a message, dispatched where it sits, in slot order: one
+in the primary slot rides on in it, and one in a payload slot is taken here
+or queued. A `LoaderToken` makes the processor the loader for the edges
+behind it. A connectivity query in the primary slot has its endpoints
+relabelled and is answered once they meet; a count query adds the stored
+count. After the payload an aging processor does its share of the deletion:
+the head tests k-1 of its own edges and each survivor takes the rules as a
+payload edge, the loader recycles its unresolved edges, and a relay tests
+k-1 edges. At the tail the automatic policy may then start. Queued messages
+drain into free payload slots; a k-th item spills into a free primary slot,
+and one more is a protocol error (`SlotOverflow`).
 
 Most hops change nothing: a full relay, a sealed processor, a full builder
 and an aging relay pass most bundles on as they came. The hop therefore
 first asks the same rules whether anything changes, in the order that
 declines soonest, and if nothing does returns the bundle itself; any other
 bundle goes on to the rules. The test writes nothing but relabels, which
-the rules, or the general path for a bundle the hop leaves to it, make as
-well, and a relabel is idempotent (a component's name maps to itself); a
-query is answered only in a bundle that passes. So a bundle it declines
-meets the rules as if it had not run.
+the rules make as well, and a relabel is idempotent (a component's name
+maps to itself); a query is answered only in a bundle that passes. So a
+bundle it declines meets the rules as if it had not run.
 """
 
 from __future__ import annotations
@@ -97,45 +96,6 @@ class SlotOverflow(RuntimeError):
     """More than k slots were packed in one tick; a protocol bug."""
 
 
-class Packer:
-    """Builds one outgoing bundle.
-
-    The primary slot is claimed by whatever the incoming primary turned into
-    (forwarded item, or empty if it settled). Payload packing overflows into
-    an empty primary only when every payload slot is taken, which is the
-    spill an overloaded builder/loader uses to stay within k slots.
-    """
-
-    __slots__ = ("payload_cap", "primary", "payload", "builder_token")
-
-    def __init__(self, k):
-        self.payload_cap = k - 1
-        self.primary = None
-        self.payload = []
-        self.builder_token = False
-
-    def set_primary(self, item):
-        if self.primary is not None:
-            raise SlotOverflow("primary slot already occupied")
-        self.primary = item
-
-    def payload_space(self):
-        return self.payload_cap - len(self.payload)
-
-    def pack(self, item):
-        if len(self.payload) < self.payload_cap:
-            self.payload.append(item)
-        elif self.primary is None:
-            self.primary = item
-        else:
-            raise SlotOverflow("bundle already holds k slots")
-
-    def bundle(self):
-        if self.primary is None and not self.payload and not self.builder_token:
-            return EMPTY_BUNDLE
-        return Bundle(self.primary, self.payload, self.builder_token)
-
-
 class Processor:
     """State and behavior of ring position `index`.
 
@@ -149,7 +109,7 @@ class Processor:
                  "lc", "tree", "nontree", "untested", "unresolved", "dup", "stored",
                  "reservoir", "is_builder", "sealed", "aging", "is_loader",
                  "seal_pending", "predicate", "deletions", "scratch", "outq",
-                 "monitor", "_pk", "_one")
+                 "monitor")
 
     def __init__(self, index, config, hooks=None):
         self.index = index
@@ -188,44 +148,38 @@ class Processor:
         if self.is_tail and config.auto_age_c is not None:
             self._arm_monitor(config.auto_age_c)
 
-        self._pk = Packer(config.k)
-        self._one = Bundle()
-
     # ------------------------------------------------------------------ tick
 
-    def process_bundle(self, b, one=False):
-        """The transit hop: the only rules for an edge at any processor,
-        slot by slot. The ring hands it each tick's bundle; the general path
-        hands it every other edge one at a time, in the processor's one
-        reused bundle `_one`, with `one` set and through the alias `_hop`,
-        since the benchmark's tracer wraps this name to count scheduled hops.
+    def process_bundle(self, b):
+        """The hop: the one path a bundle takes at any processor, in every
+        role. The ring calls it once per scheduled hop; nothing inside
+        `Processor` calls it.
 
-        A whole bundle goes to the general path, `_general`, when something
-        is queued or a builder token arrives; when a payload slot holds
-        anything but an edge or the primary slot anything but an edge or a
-        connectivity or count query; and while aging, at the builder or the
-        loader, or with anything but an edge in the primary slot. An aging
-        relay tests k-1 of its own edges after the payload of a whole bundle,
-        as `_aging_phase` would; after a one-slot handoff the general path
-        does. At the tail the policy may then start, as on the general path.
+        The primary slot goes first, then each payload slot in order, then,
+        while aging, this processor's share of the deletion (see the module
+        docstring). An arriving builder token makes this processor the
+        builder and goes no further; the builder token leaves when the
+        builder seals, or with the loader token when the seal waited on
+        loader duty. A bundle the hop leaves as it came is returned itself.
 
         An identity exit comes before the rules and returns `b` itself where
-        they would leave every slot as it is: at an aging relay, when the
-        primary slot is empty and no edge is a duplicate; elsewhere, except
-        at the tail, when no edge is a duplicate, each edge with equal labels
-        meets a full store, and each edge whose labels differ meets a
-        processor that is not the builder. So it never runs where the policy
-        could start. It relabels edges and answers a connectivity query as
-        the rules would, and a builder with space declines after two reads.
-        It is written out inline, primary slot and payload apart, because it
+        they would leave every slot as it is, with nothing queued and no
+        builder token arriving: at an aging relay, when the primary slot is
+        empty and no edge is a duplicate; outside a deletion, except at the
+        tail, when no edge is a duplicate, each edge with equal labels meets
+        a full store, and each edge whose labels differ meets a processor
+        that is not the builder. So it never runs where the policy could
+        start. It relabels edges and answers a connectivity query as the
+        rules would, and a builder with space declines after two reads. It
+        is written out inline, primary slot and payload apart, because it
         runs on most hops of a saturated ring, where a method call or a
         tuple of both slots costs about what the exit saves."""
-        if (self.outq or b.builder_token) and not one:
-            return self._general(b)
         prim = b.primary
         payload = b.payload
         # identity exit
-        if not self.aging:
+        if self.outq or b.builder_token:
+            pass  # the rules drain the queue and take the token
+        elif not self.aging:
             full = self.stored >= self.s
             builder = self.is_builder
             if (full or not builder) and not self.is_tail:
@@ -268,8 +222,8 @@ class Processor:
                             if not (full if e.lu == e.lv else not builder):
                                 break
                     else:
-                        # answered only once the bundle passes, so that a
-                        # query the general path takes meets it unanswered
+                        # answered only once the bundle passes; the rules
+                        # answer it in any other
                         if tp is ConnQuery and sets and not prim.answer:
                             c = sets.get(prim.lu)
                             if c is not None:
@@ -280,13 +234,7 @@ class Processor:
                             if prim.lu == prim.lv:
                                 prim.answer = True
                         return b
-        elif self.is_builder or self.is_loader:
-            # the builder ages only as the loader, whose own work runs on
-            # the general path: that hands the hop one edge at a time and
-            # tests nothing here
-            if not one:
-                return self._general(b)
-        elif prim is None:
+        elif prim is None and not (self.is_builder or self.is_loader):
             # an aging relay stores only a primary edge: with none, only a
             # duplicate changes a slot
             dup = self.dup
@@ -294,28 +242,31 @@ class Processor:
                 if type(e) is not LabeledEdge or e.ck in dup:
                     break
             else:
-                if self.untested and not one:
+                if self.untested:
                     self._downstream_testing()
                 return b
-        for e in payload:
-            if type(e) is not LabeledEdge:
-                return self._general(b)
-        builder = self.is_builder
-        aging = relay = self.aging
+        # an arriving builder token makes this processor the builder and is
+        # left out of the output
+        changed = b.builder_token
+        if changed:
+            self.is_builder = True
         tp = type(prim)
-        if aging:
-            if builder or self.is_loader:
-                # a one-slot handoff: whole bundles were declined above
-                relay = False
-            elif not (prim is None or tp is LabeledEdge):
-                return self._general(b)
-        elif not (prim is None or tp is LabeledEdge or tp is ConnQuery or tp is CountQuery):
-            return self._general(b)
+        if not (prim is None or tp is LabeledEdge or tp is ConnQuery or tp is CountQuery):
+            # a message rides on in its slot
+            self._primary_slot(prim)
+            changed = True
+            if b.builder_token and tp is AgingToken:
+                # begin_aging just reset the role, but the sender began aging
+                # before it passed builder duty on: the token belongs to the
+                # new regime and must survive
+                self.is_builder = True
+        builder = self.is_builder
+        aging = self.aging
+        relay = aging and not (builder or self.is_loader)
         dup = self.dup
         # the union-find's block -> component map, read inline (see
         # unionfind); only the builder and a sealed processor hold one
         sets = self.lc.sets
-        changed = False
         token = False
         fwd = []
         first = None
@@ -379,152 +330,163 @@ class Processor:
                     prim.answer = True
         elif tp is CountQuery:
             prim.n += self.stored
-        for e in payload:
-            rec = dup.get(e.ck)
-            if rec is not None:
-                if e.t > rec.t:
-                    rec.t = e.t
+        # the head ages only as the loader: after the payload it tests k-1
+        # of its own edges, and each survivor takes the rules below as a
+        # payload edge before the next test
+        tests = self.k - 1 if aging and self.is_head else 0
+        if tests:
+            changed = True
+        while True:
+            for e in payload:
+                if type(e) is not LabeledEdge:
+                    # a message; a `LoaderToken` makes this processor the
+                    # loader for the edges behind it
+                    self._payload_slot(e)
+                    relay = relay and not self.is_loader
+                    changed = True
+                    continue
+                rec = dup.get(e.ck)
+                if rec is not None:
+                    if e.t > rec.t:
+                        rec.t = e.t
+                    changed = True
+                    continue
+                if relay:
+                    fwd.append(e)
+                    continue
+                if e.lu != e.lv and sets:
+                    c = sets.get(e.lu)
+                    if c is not None:
+                        e.lu = c.name
+                    c = sets.get(e.lv)
+                    if c is not None:
+                        e.lv = c.name
+                if e.lu == e.lv:
+                    # resolved: it settles while there is space; in a
+                    # deletion the builder and the loader trade for room
+                    if self.stored < self.s:
+                        self._accept(e, NONTREE)
+                    elif self.is_tail:
+                        fwd.append(FailSignal(e, self.index))
+                    elif aging and self._room_in_deletion(fwd):
+                        self._accept(e, NONTREE)
+                    elif not builder:
+                        fwd.append(e)
+                        continue
+                    else:
+                        if e is first:
+                            prim = e
+                        else:
+                            fwd.append(e)
+                        continue
+                    changed = True
+                    continue
+                if not builder:
+                    fwd.append(e)
+                    continue
+                # a tree edge: the builder makes room for it if it can
                 changed = True
-                continue
-            if relay:
-                fwd.append(e)
-                continue
-            if e.lu != e.lv and sets:
-                c = sets.get(e.lu)
-                if c is not None:
-                    e.lu = c.name
-                c = sets.get(e.lv)
-                if c is not None:
-                    e.lv = c.name
-            if e.lu == e.lv:
-                # resolved: it settles while there is space; in a deletion
-                # the builder and the loader trade for room
                 if self.stored < self.s:
-                    self._accept(e, NONTREE)
+                    self._accept(e, TREE)
                 elif self.is_tail:
                     fwd.append(FailSignal(e, self.index))
                 elif aging and self._room_in_deletion(fwd):
-                    self._accept(e, NONTREE)
-                elif not builder:
-                    fwd.append(e)
-                    continue
+                    self._accept(e, TREE)
+                elif self.nontree:
+                    # the newest non-tree edge keeps its equal labels and
+                    # settles downstream
+                    ep = self.nontree.pop()
+                    self._drop(ep)
+                    fwd.append(ep)
+                    self._accept(e, TREE)
                 else:
+                    # legal only for a builder whose seal is waiting on its
+                    # loader duty; otherwise sealing should have happened
+                    # first
+                    if not self.seal_pending and self.hooks is not None:
+                        self.hooks.violation("tree-jettison-missing", self.index,
+                                             f"full of tree edges, got {e!r}")
+                    e.reset_labels()
                     if e is first:
                         prim = e
                     else:
                         fwd.append(e)
-                    continue
-                changed = True
+                if len(self.tree) >= self.s:
+                    if self.is_loader:
+                        # builder duty must not overtake the loader: both
+                        # tokens leave together once recycling here is done
+                        self.seal_pending = True
+                    else:
+                        token = True
+                        builder = self.is_builder = False
+                        self.sealed = True
+            if not tests:
+                break
+            tests -= 1
+            payload = ()
+            untested = self.untested
+            if not untested:
+                if self._pass_loader_token(fwd):
+                    token = True
+                break
+            if not tests and len(fwd) + (prim is not None) >= self.k:
+                # no slot is free for the last test's spill: the edge waits
+                # at the front of the pool until the next tick
+                break
+            e = untested.popleft()
+            self._drop(e)
+            if not self.predicate(e):
+                self.deletions += 1
                 continue
-            if not builder:
-                fwd.append(e)
-                continue
-            # a tree edge: the builder makes room for it if it can
-            changed = True
-            if self.stored < self.s:
-                self._accept(e, TREE)
-            elif self.is_tail:
-                fwd.append(FailSignal(e, self.index))
-            elif aging and self._room_in_deletion(fwd):
-                self._accept(e, TREE)
-            elif self.nontree:
-                # the newest non-tree edge keeps its equal labels and settles
-                # downstream
-                ep = self.nontree.pop()
-                self._drop(ep)
-                fwd.append(ep)
-                self._accept(e, TREE)
-            else:
-                # legal only for a builder whose seal is waiting on its loader
-                # duty; otherwise sealing should have happened first
-                if not self.seal_pending and self.hooks is not None:
-                    self.hooks.violation("tree-jettison-missing", self.index,
-                                         f"full of tree edges, got {e!r}")
-                e.reset_labels()
-                if e is first:
+            e.reset_labels()
+            if not tests and self.stored >= self.s - 1 and e.u != e.v:
+                # re-storing this survivor would leave the head full; send it
+                # downstream instead so the next stream edge always finds a
+                # slot here. Self-loops stay put: their equal labels would
+                # read as already-resolved in transit. It takes the primary
+                # slot when that is free.
+                if prim is None:
                     prim = e
                 else:
                     fwd.append(e)
-            if len(self.tree) >= self.s:
-                if self.is_loader:
-                    # builder duty must not overtake the loader: both tokens
-                    # leave together once recycling here is done
-                    self.seal_pending = True
-                else:
+                break
+            payload = (e,)
+        if aging and not self.is_head:
+            if self.is_loader:
+                changed = True
+                if self._loader_phase(fwd):
                     token = True
-                    builder = self.is_builder = False
-                    self.sealed = True
-        if relay and self.untested and not one:
-            self._downstream_testing()
-        if changed:
-            # the output takes b's place
-            if len(fwd) == self.k:
-                # every payload slot is taken: the last item spills into the
-                # free primary slot, as the general path's `Packer` packs it
-                prim = fwd.pop()
-            b = Bundle(prim, fwd, token) if prim is not None or fwd or token else EMPTY_BUNDLE
+            elif self.untested:
+                self._downstream_testing()
         monitor = self.monitor
-        if monitor is None or one or aging or not monitor.should_start(self.stored):
-            return b
-        # the policy starts on this tick: its probe takes the first free
-        # payload slot, or waits in the queue
-        probe = monitor.start()
-        if len(b.payload) < self.k - 1:
-            return Bundle(b.primary, [*b.payload, probe], b.builder_token)
-        self.outq.append(probe)
-        return b
-
-    _hop = process_bundle
-
-    def _general(self, b):
-        """A bundle the hop declines, slot by slot; each edge goes back to
-        the hop alone."""
-        pk = self._pk
-        pk.primary = None
-        pk.payload = []
-        pk.builder_token = False
-        if b.builder_token:
-            self.is_builder = True
-        prim = b.primary
-        if prim is not None:
-            self._primary_slot(prim, pk)
-            if b.builder_token and type(prim) is AgingToken:
-                # begin_aging just reset the role, but the sender began aging
-                # before it passed builder duty on: the token belongs to the
-                # new regime and must survive
-                self.is_builder = True
-        for item in b.payload:
-            if item is not None:
-                self._payload_slot(item, pk)
-        if self.aging:
-            self._aging_phase(pk)
-        if self.monitor is not None and not self.aging:
-            if self.monitor.should_start(self.stored):
-                self.outq.append(self.monitor.start())
+        if monitor is not None and not self.aging and monitor.should_start(self.stored):
+            # the policy starts on this tick: its probe takes the first free
+            # payload slot, or waits in the queue
+            self.outq.append(monitor.start())
         outq = self.outq
-        while outq and pk.payload_space() > 0:
-            pk.pack(outq.popleft())
-        return pk.bundle()
+        while outq and len(fwd) < self.k - 1:
+            fwd.append(outq.popleft())
+            changed = True
+        if not changed:
+            return b
+        if len(fwd) >= self.k:
+            # every payload slot is taken: the k-th item spills into a free
+            # primary slot
+            if prim is not None or len(fwd) > self.k:
+                raise SlotOverflow("bundle already holds k slots")
+            prim = fwd.pop()
+        if prim is None and not fwd and not token:
+            return EMPTY_BUNDLE
+        return Bundle(prim, fwd, token)
 
     # ------------------------------------------------------- slot dispatch
 
-    def _primary_slot(self, item, pk):
-        if type(item) is LabeledEdge:
-            self._process_edge(item, True, pk)
-        elif type(item) is ConnQuery:
-            if not item.answer:
-                item.lu = self.lc.relabel(item.lu)
-                item.lv = self.lc.relabel(item.lv)
-                if item.lu == item.lv:
-                    item.answer = True
-            pk.set_primary(item)
-        elif type(item) is CountQuery:
-            item.n += self.stored
-            pk.set_primary(item)
-        elif type(item) is AgingToken:
+    def _primary_slot(self, item):
+        """A message in the primary slot, which rides on in its slot."""
+        t = type(item)
+        if t is AgingToken:
             self.begin_aging(item.predicate)
-            pk.set_primary(item)
-        elif type(item) is QueryCommand:
+        elif t is QueryCommand:
             kind = item.kind
             self.scratch = QueryScratch(kind, item.qid, item.limit)
             if self.is_head:
@@ -535,22 +497,18 @@ class Processor:
                     self._emit_sizes(PhaseDone(item.qid))
                     if kind == "max":
                         self.scratch = None
-            pk.set_primary(item)
-        elif type(item) is ArmAutoAge:
+        elif t is ArmAutoAge:
             if self.reservoir is None:
                 self._start_sampler()
             if self.is_tail:
                 self._arm_monitor(item.target_c)
-            pk.set_primary(item)
-        else:
-            # unknown primary traffic passes through untouched
-            pk.set_primary(item)
+        # unknown primary traffic passes through untouched
 
-    def _payload_slot(self, item, pk):
+    def _payload_slot(self, item):
+        """A message in a payload slot: taken here, or queued to leave in a
+        free payload slot."""
         t = type(item)
-        if t is LabeledEdge:
-            self._process_edge(item, False, pk)
-        elif t is LoaderToken:
+        if t is LoaderToken:
             self.is_loader = True
         elif t is DumpPair:
             item.name = self.lc.relabel(item.name)
@@ -626,19 +584,6 @@ class Processor:
             self.outq.append(item)
 
     # ------------------------------------------------- constituent functions
-
-    def _process_edge(self, e, primary, pk):
-        # one reused bundle per processor: the hop may hand it back, and its
-        # slots are read out before the next edge
-        one = self._one
-        one.primary, one.payload = (e, ()) if primary else (None, (e,))
-        out = self._hop(one, True)
-        if out.primary is not None:
-            pk.set_primary(out.primary)
-        for item in out.payload:
-            pk.pack(item)
-        if out.builder_token:
-            pk.builder_token = True
 
     def _room_in_deletion(self, fwd):
         """Room in a full store that only a deletion creates: the newest
@@ -720,62 +665,24 @@ class Processor:
         self.scratch = None
         self.outq.clear()
 
-    def _aging_phase(self, pk):
-        if self.is_loader:
-            if self.is_head:
-                self._head_testing(pk)
-            else:
-                self._loader_phase(pk)
-        elif not self.is_head and self.untested:
-            self._downstream_testing()
-
-    def _head_testing(self, pk):
-        """The head tests k-1 of its own edges per tick and resolves the
-        survivors immediately instead of recycling them around the ring."""
-        pred = self.predicate
-        for i in range(1, self.k):
-            if not self.untested:
-                self._pass_loader_token(pk)
-                break
-            if i == self.k - 1 and pk.primary is not None and not pk.payload_space():
-                # no slot is free for the last test's spill: the edge waits
-                # at the front of the pool until the next tick
-                break
-            e = self.untested.popleft()
-            self._drop(e)
-            if pred(e):
-                if i == self.k - 1 and self.stored >= self.s - 1 and e.u != e.v:
-                    # re-storing this survivor would leave the head full; send
-                    # it downstream instead so the next stream edge always
-                    # finds a slot here. Self-loops stay put: their equal
-                    # labels would read as already-resolved in transit. It
-                    # takes the primary slot when that is free.
-                    e.reset_labels()
-                    if pk.primary is None:
-                        pk.primary = e
-                    else:
-                        pk.pack(e)
-                else:
-                    e.reset_labels()
-                    self._process_edge(e, False, pk)
-            else:
-                self.deletions += 1
-
-    def _loader_phase(self, pk):
+    def _loader_phase(self, fwd):
+        """The loader recycles its unresolved edges into free payload slots,
+        after testing what is left untested, and passes the loader token
+        once none is left. True when the builder token leaves with it."""
         if self.untested:
             # the token can land a tick before testing wraps up; finish the
             # backlog at the usual per-tick rate, then start recycling
             self._downstream_testing()
             if self.untested:
-                return
-        while pk.payload_space() > 0:
+                return False
+        while len(fwd) < self.k - 1:
             if not self.unresolved:
-                self._pass_loader_token(pk)
-                break
+                return self._pass_loader_token(fwd)
             e = self.unresolved.popleft()
             self._drop(e)
             e.reset_labels()
-            pk.pack(e)
+            fwd.append(e)
+        return False
 
     def _downstream_testing(self):
         pred = self.predicate
@@ -789,18 +696,22 @@ class Processor:
                 self._drop(e)
                 self.deletions += 1
 
-    def _pass_loader_token(self, pk):
-        if pk.payload_space() > 0:
-            pk.pack(LOADER_TOKEN)
-            self.is_loader = False
-            self.aging = False
-            self.predicate = None
-            if self.seal_pending:
-                pk.builder_token = True
-                self.is_builder = False
-                self.sealed = True
-                self.seal_pending = False
-        # else: retry next tick; the token never displaces an edge
+    def _pass_loader_token(self, fwd):
+        """The loader token leaves in a free payload slot, and the deletion
+        ends here; True when the builder token leaves with it. Without a
+        free slot it retries next tick: the token never displaces an edge."""
+        if len(fwd) >= self.k - 1:
+            return False
+        fwd.append(LOADER_TOKEN)
+        self.is_loader = False
+        self.aging = False
+        self.predicate = None
+        if not self.seal_pending:
+            return False
+        self.is_builder = False
+        self.sealed = True
+        self.seal_pending = False
+        return True
 
     # ------------------------------------------------------------- queries
 

@@ -402,8 +402,6 @@ class IOJunction:
             else:
                 ts.record_evt(tick, f"unrecognized return {prim!r}")
         for item in ret.payload:
-            if item is None:
-                continue
             t = type(item)
             if t is LabeledEdge:
                 reenter.append(item)

@@ -137,24 +137,17 @@ def test_idle_tail_with_a_monitor_is_not_called(monkeypatch):
 
 def test_a_wrapper_on_the_public_hop_sees_each_scheduled_call_once(monkeypatch):
     # the benchmark's tracer wraps `Processor.process_bundle` on the class
-    # and counts one call per hop the ring schedules: the general path's
-    # one-slot handoffs go through the private alias `_hop`, not the
-    # public name
+    # and counts one call per hop the ring schedules, so nothing inside
+    # `Processor` may call it
     process_bundle = Processor.__dict__["process_bundle"]
-    hop = Processor.__dict__["_hop"]
     advance = Ring.__dict__["_advance"]
     calls = []
-    handoffs = ticks = 0
+    ticks = 0
 
     def traced(proc, b):
         out = process_bundle(proc, b)
         calls.append((proc.index, out))
         return out
-
-    def handoff(proc, b, one):
-        nonlocal handoffs
-        handoffs += 1
-        return hop(proc, b, one)
 
     def checked(ring, head_in):
         nonlocal ticks
@@ -167,11 +160,9 @@ def test_a_wrapper_on_the_public_hop_sees_each_scheduled_call_once(monkeypatch):
         return ran
 
     monkeypatch.setattr(Processor, "process_bundle", traced)
-    monkeypatch.setattr(Processor, "_hop", handoff)
     monkeypatch.setattr(Ring, "_advance", checked)
     ring, items = policy_ring()
     ring.run_stream(items)
     assert ring.violations == [] and ticks == ring.t
     text = ring.transcript.text()
     assert text.count("auto-age requested") >= 2 and text.count("aging complete") >= 2
-    assert handoffs > 0

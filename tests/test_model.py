@@ -49,6 +49,7 @@ def test_edge_snapshot_has_the_five_wire_fields():
 
 def test_bundle_occupancy():
     assert EMPTY_BUNDLE.is_empty()
-    b = Bundle(LabeledEdge(1, 2), [None, LabeledEdge(3, 4)])
-    assert b.occupied() == 2  # empties inside the payload list do not count
+    b = Bundle(LabeledEdge(1, 2), [LabeledEdge(3, 4)])
+    assert b.occupied() == 2
+    assert Bundle(None, [LabeledEdge(3, 4)]).occupied() == 1
     assert not b.is_empty()

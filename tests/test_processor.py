@@ -15,7 +15,7 @@ from ringcc.model import (
     FailSignal,
     LabeledEdge,
 )
-from ringcc.processor import NONTREE, TREE, Packer, Processor, SlotOverflow
+from ringcc.processor import NONTREE, TREE, Processor, SlotOverflow
 from ringcc.queries import ConnQuery, CountQuery
 from ringcc.ring import Ring, RingConfig
 
@@ -27,24 +27,13 @@ def cfg(p=3, s=5, k=4, **kw):
     return RingConfig(p=p, s=s, k=k, **kw)
 
 
-def test_packer_spills_into_free_primary_only():
-    pk = Packer(3)
-    pk.pack("a")
-    pk.pack("b")
-    pk.pack("c")  # payload full: lands in the primary slot
-    b = pk.bundle()
-    assert b.primary == "c" and list(b.payload) == ["a", "b"]
-    pk = Packer(3)
-    pk.set_primary("p")
-    pk.pack("a")
-    pk.pack("b")
-    with pytest.raises(SlotOverflow):
-        pk.pack("c")
-
-
 def test_empty_bundle_reuse():
-    pk = Packer(3)
-    assert pk.bundle().is_empty()
+    # a bundle that leaves nothing behind is the shared empty bundle, after
+    # an edge settled or a message was taken here
+    proc = open_processor([])
+    assert proc.process_bundle(Bundle(None, [LabeledEdge(1, 2, lu=0, lv=0)])) is EMPTY_BUNDLE
+    tail = Ring(cfg(p=3, s=3)).processors[2]
+    assert tail.process_bundle(Bundle(None, [StatsProbe(1)])) is EMPTY_BUNDLE  # disarmed
 
 
 def test_builder_token_moves_building_duty():
@@ -307,6 +296,21 @@ def test_full_builder_spills_an_evictee_into_the_primary_slot():
     assert not out.builder_token and proc.is_builder
 
 
+def test_the_kth_item_spills_into_a_free_primary_slot_and_one_more_overflows():
+    # k = 3: each tree edge evicts a non-tree edge from the full builder; two
+    # evictees take the payload slots and the third the free primary one
+    stored = [((1, 2), TREE), (5, 6), (7, 8), (9, 10), (11, 12), (13, 14)]
+    tree = [LabeledEdge(2, 20 + i, t=11) for i in range(4)]
+    proc = builder(1, stored, k=3)
+    out = proc.process_bundle(Bundle(tree[0], tree[1:3]))
+    assert [x.key() for x in out.payload] == [(13, 14), (11, 12)]
+    assert out.primary.key() == (9, 10)
+    # a bundle holding more than k slots is a protocol error
+    proc = builder(1, stored, k=3)
+    with pytest.raises(SlotOverflow):
+        proc.process_bundle(Bundle(tree[0], tree[1:]))
+
+
 def test_full_builder_at_the_tail_signals_failure():
     proc = builder(2, [((1, 2), TREE), (3, 4)])
     tree, resolved = LabeledEdge(2, 9, t=11), LabeledEdge(5, 6, lu=0, lv=0, t=11)
@@ -396,8 +400,8 @@ def test_open_space_forwards_edges_whose_labels_differ():
 @pytest.mark.parametrize("path", ["transit", "general"])
 def test_constant_queries_update_as_on_the_general_path(path):
     def through(proc, b):
-        # a queued item sends the bundle down the general path, which
-        # answers queries too
+        # "general": a queued item makes the hop skip its identity exit, so
+        # the rules answer the query
         if path == "general":
             proc.outq.append(StatsProbe(1))
         return proc.process_bundle(b)
@@ -417,18 +421,28 @@ def test_constant_queries_update_as_on_the_general_path(path):
     assert out.primary is q and q.n == 6 and proc.stored == 2
 
 
-def test_probes_and_tokens_take_the_general_path(monkeypatch):
+def test_probes_and_tokens_are_dispatched_in_their_slots(monkeypatch):
+    # each message goes to the slot dispatch where it sits, in slot order,
+    # and the edge beside it still takes the rules
     proc = full_processor(1, [(1, 2), (3, 4)])
     e = LabeledEdge(5, 6)
-    declined = []
-    monkeypatch.setattr(Processor, "_general", lambda self, b: declined.append(b))
-    bundles = (Bundle(e, [StatsProbe(1)]), Bundle(None, [e, SurvivorProbe(1, 4)]),
-               Bundle(None, [e, LOADER_TOKEN]), Bundle(AgingToken(TimestampThreshold(0))))
-    for b in bundles:
-        proc.process_bundle(b)
-    assert declined == list(bundles)
+    seen = []
+    for name in ("_primary_slot", "_payload_slot"):
+        monkeypatch.setattr(Processor, name,
+                            lambda self, item, _name=name: seen.append((_name, item)))
+    probe, survivors = StatsProbe(1), SurvivorProbe(1, 4)
+    token = AgingToken(TimestampThreshold(0))
+    for b in (Bundle(e, [probe]), Bundle(None, [survivors, e]), Bundle(None, [e, LOADER_TOKEN]),
+              Bundle(token)):
+        out = proc.process_bundle(b)
+        assert out is not b and e not in proc.dup.values()
+        assert (out.primary, list(out.payload)) == ((e, []) if b.primary is e else
+                                                    (token, []) if b.primary is token else
+                                                    (None, [e]))
+    assert seen == [("_payload_slot", probe), ("_payload_slot", survivors),
+                    ("_payload_slot", LOADER_TOKEN), ("_primary_slot", token)]
     monkeypatch.undo()
-    # the builder token never reaches the transit hop: it makes a builder
+    # the builder token is taken here: it makes a builder
     proc.process_bundle(Bundle(LabeledEdge(7, 8), [], builder_token=True))
     assert proc.is_builder
 
@@ -445,31 +459,13 @@ def aging_processor(index=1, k=5, threshold=0, count=5):
     return proc
 
 
-def through_hop(monkeypatch, proc, b):
-    """The output of `proc` for `b`, and whether the transit hop made it
-    from the whole bundle, leaving nothing to the general path (which hands
-    a builder's edges to the hop one at a time)."""
-    general = Processor._general
-    declined = []
-
-    def spy(self, bundle):
-        declined.append(bundle)
-        return general(self, bundle)
-
-    monkeypatch.setattr(Processor, "_general", spy)
-    out = proc.process_bundle(b)
-    monkeypatch.undo()
-    return out, declined == []
-
-
 @pytest.mark.parametrize("index", [1, 2])  # the tail relays like any other
-def test_aging_relay_absorbs_duplicates_and_forwards_the_rest(monkeypatch, index):
+def test_aging_relay_absorbs_duplicates_and_forwards_the_rest(index):
     proc = aging_processor(index)
     unresolved = LabeledEdge(11, 12, t=30)
     resolved = LabeledEdge(13, 14, lu=0, lv=0, t=30)  # would settle outside aging
     b = Bundle(None, [LabeledEdge(2, 1, t=20), unresolved, LabeledEdge(4, 3, t=5), resolved])
-    out, hop = through_hop(monkeypatch, proc, b)
-    assert hop
+    out = proc.process_bundle(b)
     assert out.primary is None and list(out.payload) == [unresolved, resolved]
     assert (unresolved.lu, unresolved.lv, resolved.lu, resolved.lv) == (11, 12, 0, 0)
     # the newer timestamp wins; an older copy never lowers it
@@ -478,65 +474,93 @@ def test_aging_relay_absorbs_duplicates_and_forwards_the_rest(monkeypatch, index
     assert proc.stored == 5 and proc.nontree == [] and not proc.outq
 
 
-def test_aging_relay_returns_the_bundle_itself_or_the_empty_bundle(monkeypatch):
+def test_aging_relay_returns_the_bundle_itself_or_the_empty_bundle():
     proc = aging_processor()
     bundle = Bundle(None, [LabeledEdge(11, 12), LabeledEdge(13, 13)])
-    out, hop = through_hop(monkeypatch, proc, bundle)
-    assert hop and out is bundle
-    out, hop = through_hop(monkeypatch, proc, Bundle(None, [LabeledEdge(2, 1, t=20),
-                                                            LabeledEdge(9, 10)]))
-    assert hop and out is EMPTY_BUNDLE
-    out, hop = through_hop(monkeypatch, proc, EMPTY_BUNDLE)
-    assert hop and out is EMPTY_BUNDLE
+    assert proc.process_bundle(bundle) is bundle
+    dups = Bundle(None, [LabeledEdge(2, 1, t=20), LabeledEdge(9, 10)])
+    assert proc.process_bundle(dups) is EMPTY_BUNDLE
+    assert proc.process_bundle(EMPTY_BUNDLE) is EMPTY_BUNDLE
 
 
-def test_aging_relay_tests_its_own_edges_after_the_payload(monkeypatch):
+def test_aging_relay_tests_its_own_edges_after_the_payload():
     # k-1 = 3 of the five stored edges are tested per call; the duplicate
     # refreshes the first of them before its test, so it survives
     proc = aging_processor(k=4, threshold=15)
-    out, hop = through_hop(monkeypatch, proc, Bundle(None, [LabeledEdge(2, 1, t=20)]))
-    assert hop and out is EMPTY_BUNDLE
+    assert proc.process_bundle(Bundle(None, [LabeledEdge(2, 1, t=20)])) is EMPTY_BUNDLE
     assert [e.key() for e in proc.unresolved] == [(1, 2)]
     assert [e.key() for e in proc.untested] == [(7, 8), (9, 10)]
     assert proc.deletions == 2 and proc.stored == 3
-    out, hop = through_hop(monkeypatch, proc, EMPTY_BUNDLE)
-    assert hop and out is EMPTY_BUNDLE
+    assert proc.process_bundle(EMPTY_BUNDLE) is EMPTY_BUNDLE
     assert not proc.untested and proc.deletions == 4
     assert proc.dup.keys() == {(1, 2)} and proc.aging
 
 
-def test_aging_relay_at_a_sealed_processor_forwards_and_tests(monkeypatch):
+def test_aging_relay_at_a_sealed_processor_forwards_and_tests():
     # a ring seals a processor only once the loader has passed it, so this
     # state is built by hand: aging comes first, so the hop forwards the edge
-    # unchanged, as the general path would, and then tests k-1 edges
+    # unchanged, without relabelling it, and then tests k-1 edges
     proc = aging_processor()
     proc.sealed = True
     proc.lc.union(11, 13)
     e = LabeledEdge(11, 13)
     b = Bundle(None, [e])
-    out, hop = through_hop(monkeypatch, proc, b)
-    assert hop and out is b and (e.lu, e.lv) == (11, 13)
+    out = proc.process_bundle(b)
+    assert out is b and (e.lu, e.lv) == (11, 13)
     assert len(proc.unresolved) == 4 and len(proc.untested) == 1
 
 
-@pytest.mark.parametrize("prepare, b", [
-    (lambda proc: setattr(proc, "is_loader", True), Bundle(None, [LabeledEdge(11, 12)])),
-    (lambda proc: proc.outq.append(StatsProbe(1)), Bundle(None, [LabeledEdge(11, 12)])),
-    (None, Bundle(None, [LabeledEdge(11, 12)], builder_token=True)),
-    (None, Bundle(None, [LabeledEdge(11, 12), StatsProbe(1)])),
-    (None, Bundle(None, [LabeledEdge(11, 12), LOADER_TOKEN])),
-], ids=["loader", "outq", "builder-token", "probe-payload", "loader-token-payload"])
-def test_aging_relay_declines_other_bundles(monkeypatch, prepare, b):
+@pytest.mark.parametrize("case", ["loader", "outq", "builder-token", "probe-payload",
+                                  "loader-token-payload"])
+def test_aging_relay_declines_other_bundles(case):
+    # the identity exit passes none of these on: the rules rebuild each
     proc = aging_processor()
-    if prepare is not None:
-        prepare(proc)
-    assert not through_hop(monkeypatch, proc, b)[1]
+    e, probe = LabeledEdge(11, 12), StatsProbe(1)
+    payload = {"probe-payload": [e, probe], "loader-token-payload": [e, LOADER_TOKEN]}.get(
+        case, [e])
+    if case == "loader":
+        proc.is_loader = True
+    elif case == "outq":
+        proc.outq.append(probe)
+    b = Bundle(None, payload, builder_token=case == "builder-token")
+    out = proc.process_bundle(b)
+    assert out is not b
+    if case == "builder-token":
+        # the edge is a tree edge at the new builder
+        assert out is EMPTY_BUNDLE and proc.is_builder and proc.tree == [e]
+    else:
+        # a queued or passing probe leaves after the edge; the loader token
+        # is taken here
+        assert out.payload == ([e, probe] if case in ("outq", "probe-payload") else [e])
+    # the relay, and the loader before it recycles, tests k-1 edges
+    assert len(proc.untested) == 1
+    assert proc.is_loader == (case in ("loader", "loader-token-payload"))
+
+
+def test_a_loader_token_makes_the_relay_the_loader_for_the_edges_behind_it():
+    # equal labels: the relay forwards the edge ahead of the token, and the
+    # loader settles the one behind it
+    proc = aging_processor()
+    ahead, behind = LabeledEdge(21, 22, lu=3, lv=3), LabeledEdge(23, 24, lu=3, lv=3)
+    out = proc.process_bundle(Bundle(None, [ahead, LOADER_TOKEN, behind]))
+    assert out.payload == [ahead] and proc.nontree == [behind] and proc.is_loader
+
+
+def test_a_builder_that_seals_ahead_of_the_loader_token_sends_the_builder_token_on():
+    # s = 3: the three tree edges ahead of the loader token seal processor 1
+    # before it is the loader; with nothing to recycle it passes the loader
+    # token on at once, and the builder token leaves beside it
+    proc = Ring(cfg(p=3, s=3, k=5)).processors[1]
+    proc.begin_aging(TimestampThreshold(0))
+    edges = [LabeledEdge(i, i + 1) for i in (1, 2, 3)]
+    out = proc.process_bundle(Bundle(edges[0], [*edges[1:], LOADER_TOKEN], builder_token=True))
+    assert proc.tree == edges and proc.sealed and not (proc.is_builder or proc.aging)
+    assert out.builder_token and out.primary is None and out.payload == [LOADER_TOKEN]
 
 
 def aging_role(role, count=5):
-    """An aging processor behind the builder: a relay, the loader (which
-    hands the hop one edge at a time) or the tail, with `count` untested
-    edges of labels (0, 0) and room for 8."""
+    """An aging processor behind the builder: a relay, the loader or the
+    tail, with `count` untested edges of labels (0, 0) and room for 8."""
     proc = aging_processor(2 if role == "tail" else 1, count=count)
     for e in proc.untested:
         e.lu = e.lv = 0
@@ -548,40 +572,36 @@ AGING_ROLES = ("relay", "loader", "tail")
 
 
 @pytest.mark.parametrize("role", AGING_ROLES)
-def test_aging_primary_edge_settles_by_its_labels(monkeypatch, role):
+def test_aging_primary_edge_settles_by_its_labels(role):
     # no connectivity information behind the builder: labels that differ
     # settle unresolved, for the loader to recycle; equal ones as non-tree
     for e, pool in ((LabeledEdge(21, 22), "unresolved"),
                     (LabeledEdge(21, 22, lu=3, lv=3), "nontree")):
         proc = aging_role(role)
         passing = LabeledEdge(23, 24)
-        out, hop = through_hop(monkeypatch, proc, Bundle(e, [passing]))
-        assert hop == (role != "loader")
+        out = proc.process_bundle(Bundle(e, [passing]))
         assert out.primary is None and list(out.payload) == [passing]
         assert e in getattr(proc, pool) and proc.dup[e.ck] is e and proc.stored == 6
         assert passing.ck not in proc.dup
 
 
 @pytest.mark.parametrize("role", AGING_ROLES[:2])
-def test_full_aging_relay_keeps_an_unresolved_primary_in_its_slot(monkeypatch, role):
+def test_full_aging_relay_keeps_an_unresolved_primary_in_its_slot(role):
     proc = aging_role(role, count=8)
     e = LabeledEdge(21, 22)
-    out, hop = through_hop(monkeypatch, proc, Bundle(e))
-    assert hop == (role != "loader")
+    out = proc.process_bundle(Bundle(e))
     assert out.primary is e and list(out.payload) == []
     assert e.ck not in proc.dup and proc.stored == 8 and proc.unresolved
 
 
 @pytest.mark.parametrize("role", AGING_ROLES[:2])
-def test_full_aging_relay_trades_a_resolved_primary_for_its_newest_unresolved(
-        monkeypatch, role):
+def test_full_aging_relay_trades_a_resolved_primary_for_its_newest_unresolved(role):
     proc = aging_role(role, count=8)
-    through_hop(monkeypatch, proc, EMPTY_BUNDLE)  # tests four edges, all kept
+    proc.process_bundle(EMPTY_BUNDLE)  # tests four edges, all kept
     evictee = proc.unresolved[-1]
     assert len(proc.unresolved) == 4 and (evictee.lu, evictee.lv) == (0, 0)
     e, passing = LabeledEdge(21, 22, lu=3, lv=3), LabeledEdge(23, 24)
-    out, hop = through_hop(monkeypatch, proc, Bundle(e, [passing]))
-    assert hop == (role != "loader")
+    out = proc.process_bundle(Bundle(e, [passing]))
     # the evictee leaves with primitive labels, to recycle as a fresh edge;
     # the loader, its testing done, starts recycling after it
     assert out.primary is None and out.payload[:2] == [evictee, passing]
@@ -590,33 +610,29 @@ def test_full_aging_relay_trades_a_resolved_primary_for_its_newest_unresolved(
     assert proc.stored == 8 - len(out.payload[2:])
 
 
-def test_full_aging_tail_signals_failure_in_the_first_payload_slot(monkeypatch):
+def test_full_aging_tail_signals_failure_in_the_first_payload_slot():
     for e in (LabeledEdge(21, 22), LabeledEdge(21, 22, lu=3, lv=3)):
         proc = aging_role("tail", count=8)
         passing = LabeledEdge(23, 24)
-        out, hop = through_hop(monkeypatch, proc, Bundle(e, [passing]))
-        assert hop and out.primary is None and out.payload[1] is passing
+        out = proc.process_bundle(Bundle(e, [passing]))
+        assert out.primary is None and out.payload[1] is passing
         fail = out.payload[0]
         assert type(fail) is FailSignal and fail.edge is e and fail.index == 2
         assert e.ck not in proc.dup and proc.stored == 8
 
 
 @pytest.mark.parametrize("role", AGING_ROLES)
-def test_aging_primary_duplicate_is_absorbed_and_the_newer_timestamp_wins(
-        monkeypatch, role):
+def test_aging_primary_duplicate_is_absorbed_and_the_newer_timestamp_wins(role):
     for e, t in ((LabeledEdge(2, 1, t=20), 20), (LabeledEdge(4, 3, lu=0, lv=0, t=5), 10)):
         proc = aging_role(role)
-        out, hop = through_hop(monkeypatch, proc, Bundle(e))
-        assert hop == (role != "loader")
+        out = proc.process_bundle(Bundle(e))
         assert out.primary is None and proc.dup[e.ck].t == t and proc.stored == 5
 
 
-def test_aging_loader_settles_an_equal_label_payload_edge_and_forwards_the_rest(
-        monkeypatch):
+def test_aging_loader_settles_an_equal_label_payload_edge_and_forwards_the_rest():
     proc = aging_role("loader")
     resolved, unresolved = LabeledEdge(21, 22, lu=3, lv=3), LabeledEdge(23, 24)
-    out, hop = through_hop(monkeypatch, proc, Bundle(None, [resolved, unresolved]))
-    assert not hop
+    out = proc.process_bundle(Bundle(None, [resolved, unresolved]))
     assert out.primary is None and list(out.payload) == [unresolved]
     assert proc.nontree == [resolved] and unresolved.ck not in proc.dup
     assert proc.is_loader and len(proc.untested) == 1

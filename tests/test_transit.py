@@ -1,4 +1,4 @@
-"""The transit hop holds the only rules for an edge at every processor.
+"""The hop holds the only rules for a bundle at every processor.
 
 `Processor.process_bundle` absorbs a duplicate (the newer timestamp wins),
 relabels at the builder and at a sealed processor, settles an equal-label
@@ -8,22 +8,17 @@ whose labels still differ is stored as a tree edge, evicting the newest
 non-tree edge from a full store, and at s tree edges the builder seals.
 While aging, a processor behind the builder settles its primary edge as
 non-tree or unresolved by its labels, and trades a resolved one for room when
-full; the loader settles an equal-label payload edge the same way.
-The hop takes whole bundles of edges, behind an optional connectivity or
-count query, at a processor with nothing queued and no builder token
-arriving, the builder included outside a deletion, and at an aging relay,
-which then tests k-1 of its own edges. It leaves every other bundle to the
-general path, which has no edge rules of its own: that hands the hop every
-edge one slot at a time.
+full; the loader settles an equal-label payload edge the same way. Messages
+are dispatched in their slots, and after the payload an aging processor
+tests or recycles its own edges. Every bundle at every role, the aging
+builder and loader included, takes this one path.
 
-The same rules once also ran on the general path. The digests pinned below
-were recorded from that copy with the hop switched off, and the hop gave the
-same ones: the transcript, taps, stores and deletion log of every stream,
-and the failure that ended it, if any. Moving the builder's rules, and then
-the aging rules behind it, into the hop left them unchanged, and so did the
-300 small rings of `PINNED_SMALL`. The hops are counted by kind (builder,
-sealed relabel, settle, constant query, full relay, aging relay) so that
-each kind is known to be exercised.
+The digests pinned below were recorded from earlier implementations of
+these rules, and every refactor since has left them unchanged: the
+transcript, taps, stores and deletion log of every stream, the failure that
+ended it, if any, and the 300 small rings of `PINNED_SMALL`. The hops are
+counted by kind (builder, sealed relabel, settle, constant query, full
+relay, aging) so that each kind is known to be exercised.
 """
 
 import copy
@@ -34,8 +29,17 @@ from collections import Counter, deque
 from hypothesis import given, settings, strategies as st
 
 from ringcc.aging import StatsProbe, TimestampThreshold
-from ringcc.model import Arrival, AutoAge, Bundle, Connectivity, FailSignal, LabeledEdge
-from ringcc.processor import NONTREE, TREE, Packer, Processor, SlotOverflow
+from ringcc.model import (
+    LOADER_TOKEN,
+    Arrival,
+    AutoAge,
+    Bundle,
+    Connectivity,
+    FailSignal,
+    LabeledEdge,
+    LoaderToken,
+)
+from ringcc.processor import NONTREE, TREE, Processor, SlotOverflow
 from ringcc.queries import ConnQuery, CountQuery
 from ringcc.ring import Ring, RingConfig, SystemFailed
 
@@ -82,27 +86,14 @@ def run_pinned(monkeypatch, cfg, items):
     """The digest of the run and its failure, if any (a ring this small can
     exhaust its storage during a rebuild), and the hops taken by kind."""
     hop = Processor.process_bundle
-    general = Processor._general
     hops = Counter()
-    declines = [0]
 
-    def declined(proc, b):
-        declines[0] += 1
-        return general(proc, b)
+    def counted(proc, b):
+        if not b.is_empty():
+            hops[hop_kind(proc, b)] += 1
+        return hop(proc, b)
 
-    def counted(proc, b, one=False):
-        # a one-slot handoff runs inside the general path's call, after it
-        # counted the decline of the whole bundle
-        kind = hop_kind(proc, b)
-        before = declines[0]
-        out = hop(proc, b, one)
-        if declines[0] == before and not b.is_empty():
-            hops[kind] += 1
-        return out
-
-    monkeypatch.setattr(Processor, "_general", declined)
     monkeypatch.setattr(Processor, "process_bundle", counted)
-    monkeypatch.setattr(Processor, "_hop", counted)
     ring = Ring(RingConfig(validate=True, taps=True, **cfg))
     failed = None
     try:
@@ -187,17 +178,19 @@ def test_small_rings_are_pinned():
     assert digest.hexdigest() == PINNED_SMALL
 
 
+
+
 def test_arrivals_and_queries_never_reach_the_general_path(monkeypatch):
     # a guard on the hot path, as test_cold_start guards imports: with no
-    # deletion, no seal and no policy, every bundle, the builder's included,
-    # takes the transit hop, so the general path's slot dispatch and packer
-    # are never called
+    # deletion, no seal and no policy, no bundle, the builder's included,
+    # holds anything but edges and constant queries, so the hop never
+    # dispatches a message
     calls = Counter()
-    for cls, name in ((Processor, "_primary_slot"), (Packer, "bundle")):
-        def counted(*args, _real=getattr(cls, name), _name=name):
+    for name in ("_primary_slot", "_payload_slot"):
+        def counted(*args, _real=getattr(Processor, name), _name=name):
             calls[_name] += 1
             return _real(*args)
-        monkeypatch.setattr(cls, name, counted)
+        monkeypatch.setattr(Processor, name, counted)
     rng = random.Random(3)
     items = []
     for i in range(400):
@@ -215,44 +208,12 @@ def test_arrivals_and_queries_never_reach_the_general_path(monkeypatch):
 
 
 # single processors in every role the hop sees; "aging" is a relay the
-# loader has not reached yet, and the aging builder and loader leave whole
-# bundles to the general path, which hands the hop one slot at a time
+# loader has not reached yet, "aging-loader" the loader, and "aging-builder"
+# a builder that is also the loader: the head, which tests its own edges
+# after the payload, or a processor behind it that took both tokens
 ROLES = ("builder-space", "builder-full", "sealed", "relay-space", "relay-full",
          "aging", "aging-builder", "aging-loader")
 VERTICES = 10  # stored pairs draw from range(VERTICES): none holds VERTICES
-DECLINED = object()  # what the stubbed general path returns
-
-
-class _ExitCopy(Processor):
-    """The hop as it is, its general path stubbed out."""
-
-    __slots__ = ()
-
-    def _general(self, b):
-        return DECLINED
-
-
-class _RulesCopy(_ExitCopy):
-    """The rules without the exit, the general path stubbed out."""
-
-    __slots__ = ()
-    process_bundle = _hop = transit_rules
-
-
-class _RulesTick(Processor):
-    """The whole tick, the general path included, with the rules standing
-    in for the hop."""
-
-    __slots__ = ()
-    process_bundle = _hop = transit_rules
-
-
-def _copy(proc, b, cls):
-    """Deep copies of `proc` and `b`, which may be `proc._one`, the
-    processor recast as `cls`, a subclass that adds no slots."""
-    proc, b = copy.deepcopy((proc, b))
-    proc.__class__ = cls
-    return proc, b
 
 
 def _snap(x):
@@ -285,14 +246,16 @@ def _state(proc):
             proc.deletions, [_snap(x) for x in proc.outq])
 
 
-def _draw_processor(data, role, tail=None, full=None):
-    """A processor in `role`; `tail` and, while aging, `full` are drawn
-    unless given."""
+def _draw_processor(data, role, tail=None, full=None, head=None):
+    """A processor in `role`; `tail`, while aging `full`, and at the aging
+    builder `head` are drawn unless given."""
     s = data.draw(st.integers(3, 7), "s")
     k = data.draw(st.integers(2, 5), "k")
     if tail is None:
         tail = not role.startswith("aging") and data.draw(st.integers(0, 3), "tail") == 0
-    proc = Processor(2 if tail else 1, RingConfig(p=3, s=s, k=k))
+    if role == "aging-builder" and head is None:
+        head = data.draw(st.booleans(), "head")
+    proc = Processor(0 if head else 2 if tail else 1, RingConfig(p=3, s=s, k=k))
     # a spanning forest, then non-tree edges stored under equal labels
     ntree = {"sealed": s, "relay-space": 0, "relay-full": 0}.get(
         role, data.draw(st.integers(0, s - 1), "ntree"))
@@ -312,12 +275,13 @@ def _draw_processor(data, role, tail=None, full=None):
     proc.is_builder = role.startswith("builder") or role == "aging-builder"
     proc.sealed = role == "sealed"
     if role.startswith("aging"):
-        # as begin_aging leaves it, some edges already tested
+        # as begin_aging leaves it, some edges already tested; the head
+        # re-stores its survivors, so it holds no unresolved edge
         proc.lc.reset()
         edges = proc.tree + proc.nontree
         proc.tree.clear()
         proc.nontree.clear()
-        split = data.draw(st.integers(0, len(edges)), "tested")
+        split = 0 if head else data.draw(st.integers(0, len(edges)), "tested")
         proc.unresolved = deque(edges[:split])
         proc.untested = deque(edges[split:])
         proc.aging = True
@@ -368,15 +332,9 @@ def _apart(data):
     return _fresh(data, *((VERTICES, x) if data.draw(st.booleans(), "swap") else (x, VERTICES)))
 
 
-def _draw_bundle(data, proc, one=None):
-    """A bundle for `proc`; a one-slot handoff (`one`) is drawn while aging
-    unless given."""
-    if one is None:
-        one = proc.aging and data.draw(st.booleans(), "one slot")
-    if one:
-        # the general path's one-slot handoff, the only bundle an aging
-        # builder or loader takes
-        return _one_slot(data, proc, _draw_edge(data, proc))
+def _draw_bundle(data, proc):
+    """A whole bundle for `proc`: edges, a query outside a deletion, and
+    probes in any slot; at an aging relay, maybe the loader token."""
     # a deletion suspends queries
     kinds = (("edge", "none", "edge", "probe") if proc.aging else
              ("none", "edge", "edge", "edge", "conn", "conn", "count", "probe"))
@@ -404,15 +362,18 @@ def _draw_bundle(data, proc, one=None):
             payload.append(StatsProbe(0))
         else:
             payload.append(_draw_edge(data, proc))
+    if (proc.aging and not proc.is_loader and len(payload) < proc.k - 1
+            and data.draw(st.integers(0, 3), "loader token") == 0):
+        return _with_loader_token(data, prim, payload)
     return Bundle(prim, payload)
 
 
-def _one_slot(data, proc, e, primary=None):
-    b = proc._one
-    if primary is None:
-        primary = data.draw(st.booleans(), "primary")
-    b.primary, b.payload = (e, ()) if primary else (None, (e,))
-    return b
+def _with_loader_token(data, prim, payload):
+    """The loader token in a payload slot drawn at random, the builder token
+    maybe beside it: a builder ages only as the loader, so the two reach a
+    relay together."""
+    payload.insert(data.draw(st.integers(0, len(payload)), "token slot"), LOADER_TOKEN)
+    return Bundle(prim, payload, data.draw(st.booleans(), "builder token"))
 
 
 # bundles drawn for one outcome by construction, for the cases the
@@ -430,15 +391,14 @@ def _with(data, proc, b, item):
     return Bundle(None if type(b.primary) is StatsProbe else b.primary, payload)
 
 
-def _declined(data, proc):
-    # a payload slot holding anything but an edge
-    return _with(data, proc, _draw_bundle(data, proc, one=False), StatsProbe(0))
+def _with_message(data, proc):
+    return _with(data, proc, _draw_bundle(data, proc), StatsProbe(0))
 
 
 def _changed(data, proc):
     # a duplicate is absorbed; with nothing stored, an edge settles: in a
     # payload slot with equal labels, or while aging in the primary slot
-    b = _draw_bundle(data, proc, one=False)
+    b = _draw_bundle(data, proc)
     if proc.dup:
         return _with(data, proc, b, _stored_edge(data, proc))
     if proc.aging:
@@ -450,7 +410,7 @@ def _passed(data, proc):
     """A whole bundle the rules pass on as it came, away from the tail: no
     edge at a builder with space, which stores any; equal labels at a full
     store, labels apart at a relay, and any fresh edge behind an empty
-    primary slot while aging."""
+    primary slot at an aging relay."""
     n = data.draw(st.integers(0, proc.k - 1), "payload")
     if proc.aging:
         return Bundle(None, [_fresh(data) for _ in range(n)])
@@ -460,6 +420,12 @@ def _passed(data, proc):
     kind = data.draw(st.sampled_from(("none", "count", "edge")), "primary")
     prim = None if kind == "none" else CountQuery(0, 0) if kind == "count" else edge(data)
     return Bundle(prim, [edge(data) for _ in range(n)])
+
+
+def _loader_token(data, proc):
+    prim = _draw_edge(data, proc) if data.draw(st.booleans(), "primary edge") else None
+    n = data.draw(st.integers(0, proc.k - 2), "payload")
+    return _with_loader_token(data, prim, [_draw_edge(data, proc) for _ in range(n)])
 
 
 def _primary_stays(data, proc):
@@ -474,17 +440,6 @@ def _primary_changed(data, proc):
     return Bundle(prim, [_fresh(data) for _ in range(n)])
 
 
-def _one_passed(data, proc):
-    # behind the builder a payload edge whose labels differ rides on
-    return _one_slot(data, proc, _apart(data), primary=False)
-
-
-def _one_changed(data, proc):
-    if proc.dup:
-        return _one_slot(data, proc, _stored_edge(data, proc))
-    return _one_slot(data, proc, _fresh(data), primary=True)
-
-
 def _relabelled(data, proc):
     # a block the union-find renamed, beside one it never holds
     renamed = sorted(b for b, c in proc.lc.sets.items() if c.name != b)
@@ -495,20 +450,23 @@ def _tree_edge(data, proc):
     return Bundle(None, [_apart(data)])
 
 
+# the aging builder and the loader rebuild every bundle: after the payload
+# they test or recycle their own edges
+REBUILT = ("aging-builder", "aging-loader")
+
+
 def _floored_cases():
     """(role, counted key, fixed processor draws, bundle drawn) for every
     case a coverage floor counts."""
     for role in ROLES:
-        yield role, (role, "general path"), {}, _declined
-    for role in ROLES[:6]:
         yield role, (role, "changed"), {}, _changed
-        yield role, (role, "identity"), {"tail": False}, _passed
-    yield "aging-builder", ("aging-builder", "changed"), {}, _one_changed
-    for role in ("aging", "aging-loader"):
-        yield role, (role, "one slot", "identity"), {}, _one_passed
-        yield role, (role, "one slot", "changed"), {}, _one_changed
+        yield role, (role, "message"), {}, _with_message
+        if role not in REBUILT:
+            yield role, (role, "identity"), {"tail": False}, _passed
+    yield "aging", ("aging", "loader token"), {}, _loader_token
     yield "aging", ("aging", "primary edge", "identity"), {"full": True}, _primary_stays
     yield "aging", ("aging", "primary edge", "changed"), {}, _primary_changed
+    yield "aging-builder", ("aging-builder", "head"), {"head": True}, _draw_bundle
     yield "sealed", ("sealed", "relabelled"), {"tail": False}, _relabelled
     yield "builder-full", ("builder-full", "payload tree edge"), {"tail": False}, _tree_edge
 
@@ -518,49 +476,41 @@ def _check(data, role, draw_bundle=_draw_bundle, **fixed):
     exit; returns the keys it counts."""
     proc = _draw_processor(data, role, **fixed)
     b = draw_bundle(data, proc)
-    one = b is proc._one
-    exit_proc, exit_b = _copy(proc, b, _ExitCopy)
-    rules_proc, rules_b = _copy(proc, b, _RulesCopy)
-    got = exit_proc.process_bundle(exit_b, one)
-    want = rules_proc.process_bundle(rules_b, one)
-    if want is DECLINED:
-        # the exit may have relabelled edges ahead of a slot that sends
-        # the bundle to the general path, which relabels them again (below)
-        assert got is DECLINED
-        outcome = "general path"
-    elif want is rules_b:
+    exit_proc, exit_b = copy.deepcopy((proc, b))
+    rules_proc, rules_b = copy.deepcopy((proc, b))
+    got = exit_proc.process_bundle(exit_b)
+    want = transit_rules(rules_proc, rules_b)
+    if want is rules_b:
         assert got is exit_b
         assert _slots(exit_b) == _slots(rules_b)
         # passed on as it came, or relabelled (a query maybe answered)
         outcome = "identity" if _labels(exit_b) == _labels(b) else "relabelled"
     else:
-        assert got is not DECLINED and got is not exit_b
+        assert got is not exit_b
         assert _slots(got) == _slots(want)
         assert _slots(exit_b) == _slots(rules_b)
         outcome = "changed"
     assert _state(exit_proc) == _state(rules_proc)
+    assert got.occupied() <= proc.k
     keys = [(role, outcome)]
-    if one:
-        keys.append((role, "one slot", outcome))
-    elif type(b.primary) is LabeledEdge:
+    if type(b.primary) is LabeledEdge:
         keys.append((role, "primary edge", outcome))
+    if any(type(x) in (StatsProbe, LoaderToken) for x in (b.primary, *b.payload)):
+        keys.append((role, "message"))
+    if any(type(x) is LoaderToken for x in b.payload):
+        keys.append((role, "loader token"))
+    if proc.is_head:
+        keys.append((role, "head"))
     stored = {e.ck for e in rules_proc.tree} - proc.dup.keys()
     if stored & {e.ck for e in b.payload if type(e) is LabeledEdge}:
         keys.append((role, "payload tree edge"))
-    if not one:
-        # the whole tick, the general path included, with the rules
-        # standing in for the hop on the reference copy
-        exit_proc, exit_b = _copy(proc, b, Processor)
-        rules_proc, rules_b = _copy(proc, b, _RulesTick)
-        assert (_slots(exit_proc.process_bundle(exit_b))
-                == _slots(rules_proc.process_bundle(rules_b)))
-        assert _state(exit_proc) == _state(rules_proc)
     return keys
 
 
 def test_identity_exit_matches_the_rules():
     # the exit at the top of the hop returns the bundle only where the
-    # rules below it would, and leaves the processor as they leave it
+    # rules below it would, and leaves the processor as they leave it; the
+    # rules take whole bundles at every role, messages in their slots
     outcomes = Counter()
 
     @settings(max_examples=1000)
@@ -588,20 +538,17 @@ def test_identity_exit_matches_the_rules():
             outcomes.update(keys)
 
         case()
-    # an aging loader that is not the builder leaves every whole bundle to
-    # the general path, and a one-slot handoff at an aging builder here
-    # always finds room in a deletion
     for role in ROLES:
-        for outcome in {"aging-loader": ("general path",),
-                        "aging-builder": ("changed", "general path")}.get(
-                            role, ("identity", "changed", "general path")):
+        for outcome in ("changed", "message") if role in REBUILT else (
+                "identity", "changed", "message"):
             assert outcomes[role, outcome] >= 5, outcomes
-    # behind the builder a primary edge may settle or stay, and so may a
-    # one-slot edge at a relay or the loader
-    for role, shape in (("aging", "primary edge"), ("aging", "one slot"),
-                        ("aging-loader", "one slot")):
-        for outcome in ("identity", "changed"):
-            assert outcomes[role, shape, outcome] >= 5, outcomes
+    assert not any(outcomes[role, "identity"] for role in REBUILT), outcomes
+    # behind the builder a primary edge may settle or stay; the loader
+    # token makes a relay the loader for what follows it
+    for outcome in ("identity", "changed"):
+        assert outcomes["aging", "primary edge", outcome] >= 5, outcomes
+    assert outcomes["aging", "loader token"] >= 5, outcomes
+    assert outcomes["aging-builder", "head"] >= 5, outcomes
     # only the builder and a sealed processor hold a union-find
     assert outcomes["builder-full", "relabelled"] + outcomes["sealed", "relabelled"] >= 10
     assert outcomes["builder-full", "payload tree edge"] >= 5, outcomes

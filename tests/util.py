@@ -1,8 +1,8 @@
 """Shared brute-force oracles and reference implementations for the tests."""
 
-from ringcc.model import EMPTY_BUNDLE, Age, Arrival, Bundle, FailSignal, LabeledEdge
+from ringcc.model import EMPTY_BUNDLE, Age, AgingToken, Arrival, Bundle, FailSignal, LabeledEdge
 from ringcc.multipass import static_cc
-from ringcc.processor import NONTREE, TREE, UNRESOLVED
+from ringcc.processor import NONTREE, TREE, UNRESOLVED, SlotOverflow
 from ringcc.queries import ConnQuery, CountQuery
 from ringcc.ring import Violation
 
@@ -231,39 +231,34 @@ def audit_scan(ring):
     return found
 
 
-def transit_rules(proc, b, one=False):
-    """The transit hop's rules without its identity exit:
-    `Processor.process_bundle` with every bundle it does not leave to the
-    general path taking the rule loop, which itself declines a whole bundle
-    at an aging builder or loader. The reference the exit is compared
+def transit_rules(proc, b):
+    """The hop's rules without its identity exit: `Processor.process_bundle`
+    with every bundle taking the rules. The reference the exit is compared
     against."""
-    if (proc.outq or b.builder_token) and not one:
-        return proc._general(b)
     prim = b.primary
     payload = b.payload
-    for e in payload:
-        if type(e) is not LabeledEdge:
-            return proc._general(b)
-    builder = proc.is_builder
-    aging = relay = proc.aging
+    # an arriving builder token makes this processor the builder and is
+    # left out of the output
+    changed = b.builder_token
+    if changed:
+        proc.is_builder = True
     tp = type(prim)
-    if aging:
-        if builder or proc.is_loader:
-            # the builder ages only as the loader, whose own work runs on
-            # the general path: that hands the hop one edge at a time and
-            # tests nothing here
-            if not one:
-                return proc._general(b)
-            relay = False
-        elif not (prim is None or tp is LabeledEdge):
-            return proc._general(b)
-    elif not (prim is None or tp is LabeledEdge or tp is ConnQuery or tp is CountQuery):
-        return proc._general(b)
+    if not (prim is None or tp is LabeledEdge or tp is ConnQuery or tp is CountQuery):
+        # a message rides on in its slot
+        proc._primary_slot(prim)
+        changed = True
+        if b.builder_token and tp is AgingToken:
+            # begin_aging just reset the role, but the sender began aging
+            # before it passed builder duty on: the token belongs to the
+            # new regime and must survive
+            proc.is_builder = True
+    builder = proc.is_builder
+    aging = proc.aging
+    relay = aging and not (builder or proc.is_loader)
     dup = proc.dup
     # the union-find's block -> component map, read inline (see
     # unionfind); only the builder and a sealed processor hold one
     sets = proc.lc.sets
-    changed = False
     token = False
     fwd = []
     first = None
@@ -327,100 +322,151 @@ def transit_rules(proc, b, one=False):
                 prim.answer = True
     elif tp is CountQuery:
         prim.n += proc.stored
-    for e in payload:
-        rec = dup.get(e.ck)
-        if rec is not None:
-            if e.t > rec.t:
-                rec.t = e.t
+    # the head ages only as the loader: after the payload it tests k-1
+    # of its own edges, and each survivor takes the rules below as a
+    # payload edge before the next test
+    tests = proc.k - 1 if aging and proc.is_head else 0
+    if tests:
+        changed = True
+    while True:
+        for e in payload:
+            if type(e) is not LabeledEdge:
+                # a message; a `LoaderToken` makes this processor the
+                # loader for the edges behind it
+                proc._payload_slot(e)
+                relay = relay and not proc.is_loader
+                changed = True
+                continue
+            rec = dup.get(e.ck)
+            if rec is not None:
+                if e.t > rec.t:
+                    rec.t = e.t
+                changed = True
+                continue
+            if relay:
+                fwd.append(e)
+                continue
+            if e.lu != e.lv and sets:
+                c = sets.get(e.lu)
+                if c is not None:
+                    e.lu = c.name
+                c = sets.get(e.lv)
+                if c is not None:
+                    e.lv = c.name
+            if e.lu == e.lv:
+                # resolved: it settles while there is space; in a
+                # deletion the builder and the loader trade for room
+                if proc.stored < proc.s:
+                    proc._accept(e, NONTREE)
+                elif proc.is_tail:
+                    fwd.append(FailSignal(e, proc.index))
+                elif aging and proc._room_in_deletion(fwd):
+                    proc._accept(e, NONTREE)
+                elif not builder:
+                    fwd.append(e)
+                    continue
+                else:
+                    if e is first:
+                        prim = e
+                    else:
+                        fwd.append(e)
+                    continue
+                changed = True
+                continue
+            if not builder:
+                fwd.append(e)
+                continue
+            # a tree edge: the builder makes room for it if it can
             changed = True
-            continue
-        if relay:
-            fwd.append(e)
-            continue
-        if e.lu != e.lv and sets:
-            c = sets.get(e.lu)
-            if c is not None:
-                e.lu = c.name
-            c = sets.get(e.lv)
-            if c is not None:
-                e.lv = c.name
-        if e.lu == e.lv:
-            # resolved: it settles while there is space; in a deletion
-            # the builder and the loader trade for room
             if proc.stored < proc.s:
-                proc._accept(e, NONTREE)
+                proc._accept(e, TREE)
             elif proc.is_tail:
                 fwd.append(FailSignal(e, proc.index))
             elif aging and proc._room_in_deletion(fwd):
-                proc._accept(e, NONTREE)
-            elif not builder:
-                fwd.append(e)
-                continue
+                proc._accept(e, TREE)
+            elif proc.nontree:
+                # the newest non-tree edge keeps its equal labels and
+                # settles downstream
+                ep = proc.nontree.pop()
+                proc._drop(ep)
+                fwd.append(ep)
+                proc._accept(e, TREE)
             else:
+                # legal only for a builder whose seal is waiting on its
+                # loader duty; otherwise sealing should have happened
+                # first
+                if not proc.seal_pending and proc.hooks is not None:
+                    proc.hooks.violation("tree-jettison-missing", proc.index,
+                                         f"full of tree edges, got {e!r}")
+                e.reset_labels()
                 if e is first:
                     prim = e
                 else:
                     fwd.append(e)
-                continue
-            changed = True
+            if len(proc.tree) >= proc.s:
+                if proc.is_loader:
+                    # builder duty must not overtake the loader: both
+                    # tokens leave together once recycling here is done
+                    proc.seal_pending = True
+                else:
+                    token = True
+                    builder = proc.is_builder = False
+                    proc.sealed = True
+        if not tests:
+            break
+        tests -= 1
+        payload = ()
+        untested = proc.untested
+        if not untested:
+            if proc._pass_loader_token(fwd):
+                token = True
+            break
+        if not tests and len(fwd) + (prim is not None) >= proc.k:
+            # no slot is free for the last test's spill: the edge waits
+            # at the front of the pool until the next tick
+            break
+        e = untested.popleft()
+        proc._drop(e)
+        if not proc.predicate(e):
+            proc.deletions += 1
             continue
-        if not builder:
-            fwd.append(e)
-            continue
-        # a tree edge: the builder makes room for it if it can
-        changed = True
-        if proc.stored < proc.s:
-            proc._accept(e, TREE)
-        elif proc.is_tail:
-            fwd.append(FailSignal(e, proc.index))
-        elif aging and proc._room_in_deletion(fwd):
-            proc._accept(e, TREE)
-        elif proc.nontree:
-            # the newest non-tree edge keeps its equal labels and settles
-            # downstream
-            ep = proc.nontree.pop()
-            proc._drop(ep)
-            fwd.append(ep)
-            proc._accept(e, TREE)
-        else:
-            # legal only for a builder whose seal is waiting on its loader
-            # duty; otherwise sealing should have happened first
-            if not proc.seal_pending and proc.hooks is not None:
-                proc.hooks.violation("tree-jettison-missing", proc.index,
-                                     f"full of tree edges, got {e!r}")
-            e.reset_labels()
-            if e is first:
+        e.reset_labels()
+        if not tests and proc.stored >= proc.s - 1 and e.u != e.v:
+            # re-storing this survivor would leave the head full; send it
+            # downstream instead so the next stream edge always finds a
+            # slot here. Self-loops stay put: their equal labels would
+            # read as already-resolved in transit. It takes the primary
+            # slot when that is free.
+            if prim is None:
                 prim = e
             else:
                 fwd.append(e)
-        if len(proc.tree) >= proc.s:
-            if proc.is_loader:
-                # builder duty must not overtake the loader: both tokens
-                # leave together once recycling here is done
-                proc.seal_pending = True
-            else:
+            break
+        payload = (e,)
+    if aging and not proc.is_head:
+        if proc.is_loader:
+            changed = True
+            if proc._loader_phase(fwd):
                 token = True
-                builder = proc.is_builder = False
-                proc.sealed = True
-    if relay and proc.untested and not one:
-        proc._downstream_testing()
-    out = b
-    if changed:
-        if len(fwd) == proc.k:
-            # every payload slot is taken: the last item spills into the
-            # free primary slot, as the general path's `Packer` packs it
-            prim = fwd.pop()
-        if prim is None and not fwd and not token:
-            out = EMPTY_BUNDLE
-        else:
-            out = Bundle(prim, fwd, token)
+        elif proc.untested:
+            proc._downstream_testing()
     monitor = proc.monitor
-    if monitor is None or one or aging or not monitor.should_start(proc.stored):
-        return out
-    # the policy starts on this tick: its probe takes the first free
-    # payload slot, or waits in the queue
-    probe = monitor.start()
-    if len(out.payload) < proc.k - 1:
-        return Bundle(out.primary, [*out.payload, probe], out.builder_token)
-    proc.outq.append(probe)
-    return out
+    if monitor is not None and not proc.aging and monitor.should_start(proc.stored):
+        # the policy starts on this tick: its probe takes the first free
+        # payload slot, or waits in the queue
+        proc.outq.append(monitor.start())
+    outq = proc.outq
+    while outq and len(fwd) < proc.k - 1:
+        fwd.append(outq.popleft())
+        changed = True
+    if not changed:
+        return b
+    if len(fwd) >= proc.k:
+        # every payload slot is taken: the k-th item spills into a free
+        # primary slot
+        if prim is not None or len(fwd) > proc.k:
+            raise SlotOverflow("bundle already holds k slots")
+        prim = fwd.pop()
+    if prim is None and not fwd and not token:
+        return EMPTY_BUNDLE
+    return Bundle(prim, fwd, token)
