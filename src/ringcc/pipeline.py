@@ -64,7 +64,8 @@ class ThreadedRing(Ring):
     def _advance(self, head_in):
         queues = self._queues or self._start()
         links = self.links
-        for (inbox, _), b in zip(queues, [head_in] + links[1:]):
+        ins = [head_in] + links[1:]
+        for (inbox, _), b in zip(queues, ins):
             inbox.put(b)
         outs = [outbox.get() for _, outbox in queues]
         for out in outs:
@@ -72,7 +73,7 @@ class ThreadedRing(Ring):
                 raise out
         links[1:] = outs[:-1]
         self.junction_return = outs[-1]
-        return list(enumerate(outs))
+        return list(zip(range(len(outs)), ins, outs))
 
 
 def run_pipelined(config, items):

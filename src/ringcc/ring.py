@@ -24,6 +24,16 @@ the ring, not the ring size. The tail's auto-age monitor needs no wake-up of
 its own: its trigger reads only the tail's stored count and the monitor's
 phase, both change only inside a call, and every call checks the trigger
 before it returns.
+
+Under `validate=True` the same fact bounds the per-tick layout audit. The
+ring keeps, per processor, a row of the facts `Ring.audit_invariants` reads,
+and recomputes only the rows of the processors called this tick, except
+where a hop passed its non-empty input on as it came at a processor that is
+not aging: such a hop stores, drops and hands over nothing. The audit reruns
+only when a row or a ring-level input (the junction's mode, the deletion's
+scope, the settle window, the sealed flag) moved, on every tick after an
+audit that found something, and on every tick after one that had to look
+for a token in the links.
 """
 
 from __future__ import annotations
@@ -331,7 +341,7 @@ class IOJunction:
     """The I/O processor: feeds the head, extracts what the tail returns."""
 
     __slots__ = ("ring", "config", "transcript", "mode", "pending", "next_qid",
-                 "active", "ring_sealed", "age_hold_until", "backlog")
+                 "active", "aborted", "ring_sealed", "age_hold_until", "backlog")
 
     def __init__(self, ring):
         self.ring = ring
@@ -341,6 +351,7 @@ class IOJunction:
         self.pending = deque()
         self.next_qid = 0
         self.active = None  # at most one non-constant query in flight
+        self.aborted = None  # qid of the last query a deletion aborted
         self.ring_sealed = False  # builder duty left the tail; no one can union
         # a new deletion must wait for the previous one's trailing recycled
         # edges to finish wrapping, or they would slip behind the new token
@@ -431,12 +442,14 @@ class IOJunction:
                 if self.active is not None:
                     ts.record_out(tick, self.active.qid, "member", item.name, item.vertex)
             elif t is PhaseDone:
+                self._check_marker(item)
                 if self.active is not None and self.active.kind == "small":
                     reinject.append(item)  # the head starts the member phase
                 elif self.active is not None and self.active.kind == "max":
                     ts.record_out(tick, self.active.qid, "max", self.active.max_size)
                     self.active = None
             elif t is QueryEnd:
+                self._check_marker(item)
                 if self.active is not None:
                     ts.record_out(tick, self.active.qid, "done")
                     self.active = None
@@ -450,6 +463,19 @@ class IOJunction:
             else:
                 ts.record_evt(tick, f"unrecognized return {item!r}")
         return override
+
+    def _check_marker(self, item):
+        """Under validation, an end marker belongs to the active query or to
+        the last one a deletion aborted, whose stragglers may still return;
+        any other is a second marker, or one of a query long finished."""
+        hooks = self.ring.hooks
+        if hooks is None or item.qid == self.aborted:
+            return
+        active = self.active
+        if active is None or item.qid != active.qid:
+            now = "no query" if active is None else f"q{active.qid}"
+            hooks.violation("stray-end-marker", -1,
+                            f"{type(item).__name__} of q{item.qid} with {now} active")
 
     # -- incoming side -------------------------------------------------------
 
@@ -531,6 +557,7 @@ class IOJunction:
                 return None
             if self.active is not None:
                 ts.record_out(tick, self.active.qid, "aborted")
+                self.aborted = self.active.qid
                 self.active = None
             self.mode = "aging"
             self.ring_sealed = False  # deletion restarts building at the head
@@ -557,6 +584,15 @@ class IOJunction:
         return self.mode == "normal" and not self.pending and self.active is None
 
 
+def _layout_row(pr, s):
+    """The facts about one processor that `Ring.audit_invariants` reads:
+    pending pools, roles, a full tree store, resolved edges and free
+    space."""
+    return (bool(pr.untested), bool(pr.unresolved), pr.aging, pr.is_builder,
+            pr.is_loader, len(pr.tree) == s, bool(pr.tree), bool(pr.nontree),
+            pr.stored < s)
+
+
 class Ring:
     """Lockstep engine: bundles move exactly one hop per tick. Every
     processor advances once per tick, but only those with a non-empty input,
@@ -568,7 +604,8 @@ class Ring:
     __slots__ = ("config", "t", "transcript", "violations", "junction", "hooks",
                  "processors", "links", "junction_return", "_active", "failed",
                  "suspended_ticks", "aging_started_tick", "aging_log",
-                 "_pre_aging_stored", "metrics", "tap_edges", "tap_dump")
+                 "_pre_aging_stored", "metrics", "tap_edges", "tap_dump",
+                 "_rows", "_ring_inputs", "_audit_again")
 
     def __init__(self, config):
         self.config = config
@@ -578,6 +615,12 @@ class Ring:
         self.junction = IOJunction(self)
         self.hooks = RingHooks(self) if config.validate else None
         self.processors = [Processor(i, config, self.hooks) for i in range(config.p)]
+        # the audit's memo: one layout row per processor, the ring-level
+        # inputs of the last audit, and whether the next tick must audit
+        self._rows = ([_layout_row(pr, config.s) for pr in self.processors]
+                      if config.validate else None)
+        self._ring_inputs = None
+        self._audit_again = True
         self.links = [EMPTY_BUNDLE] * config.p  # links[i]: pending input of p_i (i >= 1)
         self.junction_return = EMPTY_BUNDLE
         # processors to call next tick, ascending; a call to any other would
@@ -607,7 +650,13 @@ class Ring:
             self.failed = True
             raise
         self.junction_return = EMPTY_BUNDLE
-        ran = self._advance(head_in)
+        try:
+            ran = self._advance(head_in)
+        except BaseException:
+            # the raising hop's input and the held output are gone: a later
+            # tick would run on a ring that silently lost them
+            self.failed = True
+            raise
         if junction.mode == "aging" or self.t < junction.age_hold_until:
             self.suspended_ticks += 1
         if ran is not None:
@@ -620,8 +669,9 @@ class Ring:
         self.t += 1
 
     def _advance(self, head_in):
-        """One hop for every processor; returns the (index, output) pairs
-        of those called, or None when neither taps nor the auditor read them."""
+        """One hop for every processor; returns an (index, input, output)
+        triple for each one called, or None when neither taps nor the
+        auditor read them."""
         active = self._active
         if head_in is not EMPTY_BUNDLE and (not active or active[0]):
             active.insert(0, 0)
@@ -644,7 +694,7 @@ class Ring:
             proc = procs[i]
             out = proc.process_bundle(b)
             if ran is not None:
-                ran.append((i, out))
+                ran.append((i, b, out))
             if proc.outq or proc.aging:
                 if not nxt or nxt[-1] != i:
                     nxt.append(i)
@@ -768,7 +818,7 @@ class Ring:
 
     def _record_taps(self, ran):
         aging = self.junction.mode == "aging"
-        for i, out in ran:
+        for i, _, out in ran:
             slots = [out.primary]
             slots.extend(out.payload)
             edges = self.tap_edges[i]
@@ -782,8 +832,16 @@ class Ring:
                     dumps.append((it.block, it.name))
 
     def _audit_tick(self, ran):
-        k = self.config.k
-        for i, out in ran:
+        """Check each output's slot count, then the layout, through the memo
+        (see the module docstring): `audit_invariants` runs only when its
+        answer could differ from the last run's, which found nothing."""
+        config = self.config
+        k = config.k
+        s = config.s
+        procs = self.processors
+        rows = self._rows
+        again = self._audit_again
+        for i, b, out in ran:
             # occupied() is at most len(payload) + 1: only k or more payload
             # entries can overflow
             if len(out.payload) >= k:
@@ -791,7 +849,32 @@ class Ring:
                 if n > k:
                     self.violations.append(Violation(
                         self.t, "slot-overflow", i, f"{n} occupied slots"))
-        self.violations.extend(self.audit_invariants())
+            # a pass-through hop writes nothing a row reads
+            if out is not b or b is EMPTY_BUNDLE or procs[i].aging:
+                row = _layout_row(procs[i], s)
+                if row != rows[i]:
+                    rows[i] = row
+                    again = True
+        junction = self.junction
+        t = self.t
+        p = config.p
+        aging = junction.mode == "aging"
+        scope = p
+        if aging and self.aging_started_tick is not None:
+            scope = min(p, t - self.aging_started_tick + 1)
+        inputs = (junction.mode, scope, t >= junction.age_hold_until, junction.ring_sealed)
+        if inputs != self._ring_inputs:
+            self._ring_inputs = inputs
+            again = True
+        if not again:
+            return
+        found = self.audit_invariants()
+        self.violations.extend(found)
+        # with no builder, or no loader during a deletion, in scope the
+        # audit looked for the token in the links, which move every tick
+        in_scope = rows[:scope]
+        self._audit_again = bool(found) or not any(r[3] for r in in_scope) or (
+            aging and not any(r[4] for r in in_scope))
 
     def audit_invariants(self):
         """Layout invariants over the current state; empty list means clean.

@@ -146,7 +146,7 @@ def test_a_wrapper_on_the_public_hop_sees_each_scheduled_call_once(monkeypatch):
 
     def traced(proc, b):
         out = process_bundle(proc, b)
-        calls.append((proc.index, out))
+        calls.append((proc.index, b, out))
         return out
 
     def checked(ring, head_in):
@@ -154,8 +154,8 @@ def test_a_wrapper_on_the_public_hop_sees_each_scheduled_call_once(monkeypatch):
         calls.clear()
         ran = advance(ring, head_in)
         assert len(calls) == len(ran), ring.t
-        for (i, out), (index, got) in zip(ran, calls):
-            assert i == index and out is got, ring.t
+        for (i, b, out), (index, given, got) in zip(ran, calls):
+            assert i == index and b is given and out is got, ring.t
         ticks += 1
         return ran
 

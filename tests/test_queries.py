@@ -3,6 +3,7 @@ import random
 from ringcc.model import (
     Age,
     Arrival,
+    Bundle,
     DumpLabels,
     IDLE,
     MaxComponent,
@@ -144,6 +145,25 @@ def test_tree_of_a_full_ring_drains_with_each_edge_once():
     got = [(e[4], e[5]) for e in ring.transcript.outputs("tree-edge")]
     assert sorted(got) == path
     assert len(ring.transcript.outputs("done")) == 1
+
+
+def test_an_end_marker_of_no_live_query_is_a_stray():
+    # under validation an end marker must belong to the active query or to
+    # the last one a deletion aborted; a second marker of a finished query
+    # is flagged once
+    ring = Ring(RingConfig(p=3, s=5, k=3, validate=True))
+    run(ring, [Arrival(0, 1), SpanningTree()] + [IDLE] * 8
+        + [SpanningTree(), Age(TimestampThreshold(0))])
+    (_, _, done, _), = ring.transcript.outputs("done")
+    (_, _, aborted, _), = ring.transcript.outputs("aborted")
+    assert ring.violations == []
+    ring.junction_return = Bundle(None, [QueryEnd(aborted, "tree")])
+    ring.tick(IDLE)
+    assert ring.violations == []
+    ring.junction_return = Bundle(None, [QueryEnd(done, "tree")])
+    ring.tick(IDLE)
+    assert [(v.kind, v.index, v.detail) for v in ring.violations] == [
+        ("stray-end-marker", -1, f"QueryEnd of q{done} with no query active")]
 
 
 # ----------------------------------------------------------------- max component

@@ -6,6 +6,7 @@ from ringcc.model import (
     EMPTY_BUNDLE, Age, Arrival, AutoAge, Bundle, Connectivity, EdgeCount, IDLE, LabeledEdge)
 from ringcc.aging import TimestampThreshold
 from ringcc.multipass import static_cc
+from ringcc.processor import Processor
 from ringcc.ring import IOJunction, Ring, RingConfig, SystemFailed, Violation
 from ringcc.streams import gen_uniform
 
@@ -194,12 +195,36 @@ def test_audit_flags_an_overfull_output_once():
         ring.tick(Arrival(i, i + 1))
     ring.drain()
     e = [LabeledEdge(10 + i, 20 + i) for i in range(4)]
-    ring._audit_tick([(0, Bundle(e[0], e[1:3])), (1, Bundle(None, e[:3])),
-                      (2, Bundle(None, e[:2]))])
+    ring._audit_tick([(0, EMPTY_BUNDLE, Bundle(e[0], e[1:3])),
+                      (1, EMPTY_BUNDLE, Bundle(None, e[:3])),
+                      (2, EMPTY_BUNDLE, Bundle(None, e[:2]))])
     assert ring.violations == []  # at most k occupied slots each
-    ring._audit_tick([(0, Bundle(e[0], e[1:4])), (1, Bundle(e[0], e[1:3]))])
+    ring._audit_tick([(0, EMPTY_BUNDLE, Bundle(e[0], e[1:4])),
+                      (1, EMPTY_BUNDLE, Bundle(e[0], e[1:3]))])
     assert [(v.kind, v.index, v.detail) for v in ring.violations] == [
         ("slot-overflow", 0, "4 occupied slots")]
+
+
+def test_a_tick_that_raises_mid_hop_fails_the_ring(monkeypatch):
+    # the raising hop's input is gone, so the ring must not run on
+    class Boom(Exception):
+        pass
+
+    boom = Boom()
+    process_bundle = Processor.process_bundle
+
+    def raise_once(proc, b):
+        monkeypatch.setattr(Processor, "process_bundle", process_bundle)
+        raise boom
+
+    ring = Ring(cfg())
+    ring.tick(Arrival(1, 2))
+    monkeypatch.setattr(Processor, "process_bundle", raise_once)
+    with pytest.raises(Boom) as raised:
+        ring.tick(Arrival(3, 4))
+    assert raised.value is boom and ring.failed
+    with pytest.raises(SystemFailed, match="system already failed"):
+        ring.tick(Arrival(5, 6))
 
 
 def test_self_loops_store_as_nontree():
