@@ -25,15 +25,18 @@ its own: its trigger reads only the tail's stored count and the monitor's
 phase, both change only inside a call, and every call checks the trigger
 before it returns.
 
-Under `validate=True` the same fact bounds the per-tick layout audit. The
-ring keeps, per processor, a row of the facts `Ring.audit_invariants` reads,
-and recomputes only the rows of the processors called this tick, except
-where a hop passed its non-empty input on as it came at a processor that is
-not aging: such a hop stores, drops and hands over nothing. The audit reruns
-only when a row or a ring-level input (the junction's mode, the deletion's
-scope, the settle window, the sealed flag) moved, on every tick after an
-audit that found something, and on every tick after one that had to look
-for a token in the links.
+Under `validate=True` the per-tick audit follows the hops that change
+something: a hop that returns its input stores, drops and hands over
+nothing, unless its processor is aging with untested edges to test. The
+auditor gets only the hops that returned a new bundle or left their
+processor aging (taps get every hop), and checks each new bundle's slots.
+The ring keeps, per processor, a row of the facts `Ring.audit_invariants`
+reads, and recomputes the rows of those hops but the aging pass-throughs
+whose row shows no untested edge. The audit reruns only when a row or a
+ring-level input (the junction's mode, the deletion's scope, the settle
+window, the sealed flag) moved, on every tick after an audit that found
+something, and on every tick after one that had to look for a token in the
+links; a ring sealed outside a deletion has no builder token to look for.
 """
 
 from __future__ import annotations
@@ -308,24 +311,25 @@ class RingHooks:
         self.twice = set()
 
     def stored(self, key, index):
-        c = self.counts.get(key, 0) + 1
-        self.counts[key] = c
+        counts = self.counts
+        if key not in counts:
+            counts[key] = 1  # the first copy, the common case
+            return
+        c = counts[key] = counts[key] + 1
         if c == 2:
             if self.ring.junction.mode == "aging":
                 self.twice.add(key)
             else:
                 self.violation("duplicate-store", index, f"{key} stored twice in normal mode")
-        elif c > 2:
+        else:
             self.violation("duplicate-store", index, f"{key} stored {c} times")
 
     def removed(self, key, index):
-        c = self.counts.get(key, 0) - 1
-        if c <= 0:
-            self.counts.pop(key, None)
-        else:
-            self.counts[key] = c
-        if c < 2:
-            self.twice.discard(key)
+        c = self.counts.pop(key, 0)  # the last copy, the common case
+        if c > 1:  # a key in `twice` has two copies or more
+            self.counts[key] = c - 1
+            if c == 2:
+                self.twice.discard(key)
 
     def violation(self, kind, index, detail):
         self.ring.violations.append(Violation(self.ring.t, kind, index, detail))
@@ -341,7 +345,8 @@ class IOJunction:
     """The I/O processor: feeds the head, extracts what the tail returns."""
 
     __slots__ = ("ring", "config", "transcript", "mode", "pending", "next_qid",
-                 "active", "aborted", "ring_sealed", "age_hold_until", "backlog")
+                 "active", "aborted", "ring_sealed", "age_hold_until", "backlog",
+                 "stray_markers")
 
     def __init__(self, ring):
         self.ring = ring
@@ -357,6 +362,7 @@ class IOJunction:
         # edges to finish wrapping, or they would slip behind the new token
         self.age_hold_until = 0
         self.backlog = 0  # depth of `pending` last reported as an event
+        self.stray_markers = 0  # end markers `_check_marker` found stray
 
     # -- outgoing side -------------------------------------------------------
 
@@ -465,17 +471,20 @@ class IOJunction:
         return override
 
     def _check_marker(self, item):
-        """Under validation, an end marker belongs to the active query or to
-        the last one a deletion aborted, whose stragglers may still return;
-        any other is a second marker, or one of a query long finished."""
-        hooks = self.ring.hooks
-        if hooks is None or item.qid == self.aborted:
+        """An end marker belongs to the active query or to the last one a
+        deletion aborted, whose stragglers may still return; any other, a
+        second marker or one of a query long finished, is counted as a stray
+        and under validation is a violation."""
+        if item.qid == self.aborted:
             return
         active = self.active
         if active is None or item.qid != active.qid:
-            now = "no query" if active is None else f"q{active.qid}"
-            hooks.violation("stray-end-marker", -1,
-                            f"{type(item).__name__} of q{item.qid} with {now} active")
+            self.stray_markers += 1
+            hooks = self.ring.hooks
+            if hooks is not None:
+                now = "no query" if active is None else f"q{active.qid}"
+                hooks.violation("stray-end-marker", -1,
+                                f"{type(item).__name__} of q{item.qid} with {now} active")
 
     # -- incoming side -------------------------------------------------------
 
@@ -670,15 +679,17 @@ class Ring:
 
     def _advance(self, head_in):
         """One hop for every processor; returns an (index, input, output)
-        triple for each one called, or None when neither taps nor the
-        auditor read them."""
+        triple for each hop taps or the auditor read, or None when neither
+        does: every hop for taps, else those that returned a new bundle or
+        left their processor aging (see the module docstring)."""
         active = self._active
         if head_in is not EMPTY_BUNDLE and (not active or active[0]):
             active.insert(0, 0)
         procs = self.processors
         links = self.links
         last = self.config.p - 1
-        ran = [] if self.tap_edges is not None or self.hooks is not None else None
+        taps = self.tap_edges is not None
+        ran = [] if taps or self.hooks is not None else None
         nxt = []
         held = None  # output of the previous processor, written to its
         held_at = 0  # successor's link once that one has read its input
@@ -694,7 +705,8 @@ class Ring:
             proc = procs[i]
             out = proc.process_bundle(b)
             if ran is not None:
-                ran.append((i, b, out))
+                if out is not b or taps or proc.aging:
+                    ran.append((i, b, out))
             if proc.outq or proc.aging:
                 if not nxt or nxt[-1] != i:
                     nxt.append(i)
@@ -832,9 +844,11 @@ class Ring:
                     dumps.append((it.block, it.name))
 
     def _audit_tick(self, ran):
-        """Check each output's slot count, then the layout, through the memo
-        (see the module docstring): `audit_invariants` runs only when its
-        answer could differ from the last run's, which found nothing."""
+        """Check each new output's slot count, then the layout, through the
+        memo (see the module docstring): `audit_invariants` runs only when
+        its answer could differ from the last run's, which found nothing.
+        The rule for a hop that returned its input is applied here, so it
+        holds whether `ran` lists every hop (taps on) or not."""
         config = self.config
         k = config.k
         s = config.s
@@ -842,19 +856,20 @@ class Ring:
         rows = self._rows
         again = self._audit_again
         for i, b, out in ran:
-            # occupied() is at most len(payload) + 1: only k or more payload
-            # entries can overflow
-            if len(out.payload) >= k:
-                n = out.occupied()
-                if n > k:
-                    self.violations.append(Violation(
-                        self.t, "slot-overflow", i, f"{n} occupied slots"))
-            # a pass-through hop writes nothing a row reads
-            if out is not b or b is EMPTY_BUNDLE or procs[i].aging:
-                row = _layout_row(procs[i], s)
-                if row != rows[i]:
-                    rows[i] = row
-                    again = True
+            if out is not b:
+                # occupied() is at most len(payload) + 1: only k or more
+                # payload entries can overflow
+                if len(out.payload) >= k:
+                    n = out.occupied()
+                    if n > k:
+                        self.violations.append(Violation(
+                            self.t, "slot-overflow", i, f"{n} occupied slots"))
+            elif not (rows[i][0] and procs[i].aging):
+                continue
+            row = _layout_row(procs[i], s)
+            if row != rows[i]:
+                rows[i] = row
+                again = True
         junction = self.junction
         t = self.t
         p = config.p
@@ -871,9 +886,11 @@ class Ring:
         found = self.audit_invariants()
         self.violations.extend(found)
         # with no builder, or no loader during a deletion, in scope the
-        # audit looked for the token in the links, which move every tick
+        # audit looked for the token in the links, which move every tick;
+        # a ring sealed outside a deletion has its builder at p
         in_scope = rows[:scope]
-        self._audit_again = bool(found) or not any(r[3] for r in in_scope) or (
+        looked = not any(r[3] for r in in_scope) and (aging or not junction.ring_sealed)
+        self._audit_again = bool(found) or looked or (
             aging and not any(r[4] for r in in_scope))
 
     def audit_invariants(self):

@@ -6,9 +6,11 @@ ring-level input moved. On every tick the layout violations the tick
 appends must equal the scan's, in the same order, whether the audit ran or
 not.
 
-The memo rests on a premise: a hop that passes its non-empty input on as it
-came, at a processor that is not aging after the call, changes nothing the
-audit reads. Every compared run checks it on each such hop."""
+The memo rests on a premise: a hop that returns its input changes nothing
+the audit reads, unless its processor is aging with untested edges to test.
+That covers an empty input returned by a processor that is not aging, and
+a bundle passed on by an aging processor whose untested pool was empty.
+Every compared run checks it on each such hop."""
 
 import random
 from collections import Counter
@@ -19,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 from ringcc.aging import TimestampThreshold
 from ringcc.model import EMPTY_BUNDLE, IDLE, Age, Arrival, AutoAge, Connectivity, EdgeCount
 from ringcc.processor import Processor
-from ringcc.ring import Ring, RingConfig, SystemFailed
+from ringcc.ring import Ring, RingConfig, SystemFailed, _layout_row
 
 from test_idle_skip import drain_padding, mixed_items, policy_ring
 from util import audit_scan
@@ -37,10 +39,13 @@ def audit_fields(pr):
 
 def run_compared(ring, items):
     """Run `items` on `ring`, comparing after each tick's audit the layout
-    violations the tick appended with the scan, and checking the premise on
-    every pass-through hop. Returns counts of ticks, audits run, ticks
-    flagged and pass-through hops. Running out of storage ends the run, an
-    allowed outcome on small rings."""
+    violations the tick appended with the scan and the memo's rows with the
+    processors, and checking the premise on every hop the audit skips.
+    Returns counts of ticks, audits run, ticks flagged and skipped hops:
+    all of them (`passes`), those at an aging processor (`aging passes`)
+    and those that returned the empty bundle at any other (`empty
+    passes`). Running out of storage ends the run, an allowed outcome on
+    small rings."""
     seen = Counter()
     audit = Ring.audit_invariants
     audit_tick = Ring._audit_tick
@@ -55,15 +60,21 @@ def run_compared(ring, items):
         audit_tick(ring, ran)
         got = [v for v in ring.violations[n:] if v.kind != "slot-overflow"]
         assert rows(got) == rows(audit_scan(ring)), f"{ring.config} tick {ring.t}"
+        # the memo's rows are the facts as they stand
+        assert ring._rows == [_layout_row(pr, ring.config.s) for pr in ring.processors], \
+            f"{ring.config} tick {ring.t}"
         seen["ticks"] += 1
         seen["flagged"] += bool(got)
 
     def premised(proc, b):
         before = audit_fields(proc)
+        testing = bool(proc.untested)
         out = process_bundle(proc, b)
-        if out is b and b is not EMPTY_BUNDLE and not proc.aging:
+        if out is b and not (testing and proc.aging):
             assert audit_fields(proc) == before, f"{ring.config} p{proc.index} tick {ring.t}"
             seen["passes"] += 1
+            seen["aging passes"] += proc.aging
+            seen["empty passes"] += b is EMPTY_BUNDLE and not proc.aging
         return out
 
     with pytest.MonkeyPatch.context() as mp:
@@ -169,7 +180,21 @@ def test_a_called_processor_that_opens_a_space_reruns_the_audit(monkeypatch):
 
 def test_a_pass_through_hop_changes_nothing_the_audit_reads():
     seen = run_compared(*policy_ring())
-    assert seen["passes"] > 0 and seen["audits"] < seen["ticks"]
+    # each kind of skipped hop occurs: at an aging processor, empty at one
+    # that is not aging, and non-empty at one that is not aging
+    assert seen["empty passes"] > 0 and seen["aging passes"] > 0
+    assert seen["passes"] > seen["empty passes"] + seen["aging passes"]
+    assert seen["audits"] < seen["ticks"]
+
+
+def test_a_ring_sealed_outside_a_deletion_is_not_audited_every_tick():
+    # a sealed ring has no builder; outside a deletion no builder token is
+    # in flight either, so the audit places the builder at p whatever the
+    # links hold, and idle ticks give it nothing new to read
+    ring = Ring(RingConfig(p=3, s=5, k=3, validate=True))
+    seen = run_compared(ring, [Arrival(i, i + 1) for i in range(15)] + [IDLE] * 200)
+    assert ring.junction.ring_sealed and ring.violations == []
+    assert seen["ticks"] == 215 and seen["audits"] <= 20, seen
 
 
 vertices = st.integers(0, 24)

@@ -101,7 +101,7 @@ def test_idle_processors_are_not_called(monkeypatch):
     assert 0 < calls < p * ring.t
 
 
-def policy_ring():
+def policy_ring(taps=False):
     """A small validated ring whose policy runs several deletions, and the
     bursts of arrivals and idle runs that drive it."""
     rng = random.Random(7)
@@ -110,7 +110,7 @@ def policy_ring():
         items.extend(Arrival(rng.randrange(200), rng.randrange(200)) for _ in range(4))
         items.extend([IDLE] * rng.randrange(10, 40))
     return Ring(RingConfig(p=5, s=20, k=3, auto_age_c=0.5, search_circuits=2,
-                           validate=True)), items
+                           validate=True, taps=taps)), items
 
 
 def test_idle_tail_with_a_monitor_is_not_called(monkeypatch):
@@ -138,7 +138,7 @@ def test_idle_tail_with_a_monitor_is_not_called(monkeypatch):
 def test_a_wrapper_on_the_public_hop_sees_each_scheduled_call_once(monkeypatch):
     # the benchmark's tracer wraps `Processor.process_bundle` on the class
     # and counts one call per hop the ring schedules, so nothing inside
-    # `Processor` may call it
+    # `Processor` may call it. With taps on, `_advance` lists every hop
     process_bundle = Processor.__dict__["process_bundle"]
     advance = Ring.__dict__["_advance"]
     calls = []
@@ -161,8 +161,41 @@ def test_a_wrapper_on_the_public_hop_sees_each_scheduled_call_once(monkeypatch):
 
     monkeypatch.setattr(Processor, "process_bundle", traced)
     monkeypatch.setattr(Ring, "_advance", checked)
-    ring, items = policy_ring()
+    ring, items = policy_ring(taps=True)
     ring.run_stream(items)
     assert ring.violations == [] and ticks == ring.t
     text = ring.transcript.text()
     assert text.count("auto-age requested") >= 2 and text.count("aging complete") >= 2
+
+
+def test_the_auditor_alone_gets_the_hops_that_change_something(monkeypatch):
+    # with taps off, `_advance` lists a hop only when it returned a new
+    # bundle or left its processor aging; any other hop passed its input on
+    # and left its processor as it was
+    process_bundle = Processor.__dict__["process_bundle"]
+    advance = Ring.__dict__["_advance"]
+    calls = []
+    seen = {"left out": 0, "aging passes": 0}
+
+    def traced(proc, b):
+        out = process_bundle(proc, b)
+        calls.append((proc.index, b, out, proc.aging))
+        return out
+
+    def checked(ring, head_in):
+        calls.clear()
+        ran = advance(ring, head_in)
+        want = [(i, b, out) for i, b, out, aging in calls if out is not b or aging]
+        assert len(ran) == len(want), ring.t
+        for (i, b, out), (index, given, got) in zip(ran, want):
+            assert i == index and b is given and out is got, ring.t
+            seen["aging passes"] += out is b
+        seen["left out"] += len(calls) - len(want)
+        return ran
+
+    monkeypatch.setattr(Processor, "process_bundle", traced)
+    monkeypatch.setattr(Ring, "_advance", checked)
+    ring, items = policy_ring()
+    ring.run_stream(items)
+    assert ring.violations == [] and ring.transcript.text().count("aging complete") >= 2
+    assert seen["left out"] > 0 and seen["aging passes"] > 0, seen

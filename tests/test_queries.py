@@ -147,15 +147,22 @@ def test_tree_of_a_full_ring_drains_with_each_edge_once():
     assert len(ring.transcript.outputs("done")) == 1
 
 
-def test_an_end_marker_of_no_live_query_is_a_stray():
-    # under validation an end marker must belong to the active query or to
-    # the last one a deletion aborted; a second marker of a finished query
-    # is flagged once
-    ring = Ring(RingConfig(p=3, s=5, k=3, validate=True))
+def finished_and_aborted(validate):
+    """A ring that ran one `TREE` query to its end and had one aborted by a
+    deletion, with the two query ids."""
+    ring = Ring(RingConfig(p=3, s=5, k=3, validate=validate))
     run(ring, [Arrival(0, 1), SpanningTree()] + [IDLE] * 8
         + [SpanningTree(), Age(TimestampThreshold(0))])
     (_, _, done, _), = ring.transcript.outputs("done")
     (_, _, aborted, _), = ring.transcript.outputs("aborted")
+    return ring, done, aborted
+
+
+def test_an_end_marker_of_no_live_query_is_a_stray():
+    # under validation an end marker must belong to the active query or to
+    # the last one a deletion aborted; a second marker of a finished query
+    # is flagged once
+    ring, done, aborted = finished_and_aborted(validate=True)
     assert ring.violations == []
     ring.junction_return = Bundle(None, [QueryEnd(aborted, "tree")])
     ring.tick(IDLE)
@@ -164,6 +171,17 @@ def test_an_end_marker_of_no_live_query_is_a_stray():
     ring.tick(IDLE)
     assert [(v.kind, v.index, v.detail) for v in ring.violations] == [
         ("stray-end-marker", -1, f"QueryEnd of q{done} with no query active")]
+    assert ring.junction.stray_markers == 1
+
+
+def test_an_unvalidated_ring_counts_a_stray_end_marker():
+    ring, done, aborted = finished_and_aborted(validate=False)
+    ring.junction_return = Bundle(None, [QueryEnd(aborted, "tree")])
+    ring.tick(IDLE)
+    assert ring.junction.stray_markers == 0
+    ring.junction_return = Bundle(None, [QueryEnd(done, "tree")])
+    ring.tick(IDLE)
+    assert ring.junction.stray_markers == 1 and ring.violations == []
 
 
 # ----------------------------------------------------------------- max component

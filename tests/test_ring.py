@@ -189,6 +189,34 @@ def test_audit_detects_pending_edges_outside_aging():
     assert "pending-outside-aging" not in {v.kind for v in ring.audit_invariants()}
 
 
+def test_copy_counts_flag_each_copy_a_regime_does_not_allow():
+    # one copy of a key outside a deletion; two while a deletion rebuilds,
+    # and one again once it completes
+    ring = Ring(cfg(p=2, s=5, k=3))
+    hooks = ring.hooks
+    key = (1, 2)
+    for index in (0, 1, 1):
+        hooks.stored(key, index)
+    assert [(v.kind, v.index, v.detail) for v in ring.violations] == [
+        ("duplicate-store", 1, "(1, 2) stored twice in normal mode"),
+        ("duplicate-store", 1, "(1, 2) stored 3 times")]
+    for _ in range(3):
+        hooks.removed(key, 0)
+    assert hooks.counts == {}
+    ring.junction.mode = "aging"
+    hooks.stored(key, 0)
+    hooks.stored(key, 1)
+    assert len(ring.violations) == 2 and hooks.twice == {key}
+    hooks.removed(key, 0)
+    assert hooks.counts == {key: 1} and hooks.twice == set()
+    hooks.aging_completed()
+    assert len(ring.violations) == 2
+    hooks.stored(key, 0)
+    hooks.aging_completed()
+    assert [(v.kind, v.detail) for v in ring.violations[2:]] == [
+        ("post-aging-duplicate", "1 keys still stored twice")]
+
+
 def test_audit_flags_an_overfull_output_once():
     ring = Ring(cfg(p=3, s=5, k=3))
     for i in range(4):
