@@ -73,6 +73,8 @@ class ThreadedRing(Ring):
                 raise out
         links[1:] = outs[:-1]
         self.junction_return = outs[-1]
+        if self.tap_edges is None:
+            return None  # no taps, and no auditor: `validate` is refused
         return list(zip(range(len(outs)), ins, outs))
 
 

@@ -614,7 +614,7 @@ class Ring:
                  "processors", "links", "junction_return", "_active", "failed",
                  "suspended_ticks", "aging_started_tick", "aging_log",
                  "_pre_aging_stored", "metrics", "tap_edges", "tap_dump",
-                 "_rows", "_ring_inputs", "_audit_again")
+                 "_aging_started_at", "_rows", "_ring_inputs", "_audit_again")
 
     def __init__(self, config):
         self.config = config
@@ -638,6 +638,7 @@ class Ring:
         self.failed = False
         self.suspended_ticks = 0  # aging plus the post-deletion settle window
         self.aging_started_tick = None
+        self._aging_started_at = None  # suspended_ticks before the start tick
         self.aging_log = []
         self._pre_aging_stored = 0
         self.metrics = [] if config.metrics else None
@@ -809,6 +810,7 @@ class Ring:
 
     def _aging_started(self, tick):
         self.aging_started_tick = tick
+        self._aging_started_at = self.suspended_ticks  # before this tick's count
         self._pre_aging_stored = self.stored_total()
         for pr in self.processors:
             pr.deletions = 0
@@ -871,13 +873,10 @@ class Ring:
                 rows[i] = row
                 again = True
         junction = self.junction
-        t = self.t
-        p = config.p
         aging = junction.mode == "aging"
-        scope = p
-        if aging and self.aging_started_tick is not None:
-            scope = min(p, t - self.aging_started_tick + 1)
-        inputs = (junction.mode, scope, t >= junction.age_hold_until, junction.ring_sealed)
+        scope = self._audit_scope()
+        inputs = (junction.mode, scope, self.t >= junction.age_hold_until,
+                  junction.ring_sealed)
         if inputs != self._ring_inputs:
             self._ring_inputs = inputs
             again = True
@@ -893,116 +892,85 @@ class Ring:
         self._audit_again = bool(found) or looked or (
             aging and not any(r[4] for r in in_scope))
 
-    def audit_invariants(self):
-        """Layout invariants over the current state; empty list means clean.
+    def _audit_scope(self):
+        """How many processors, from the head, the layout checks cover.
 
         While a deletion token is still propagating, processors it has not
-        reached keep their old stores, so the layout checks cover only the
-        prefix that has switched regimes.
-
-        One pass over the processors keeps one summary per check: the
-        builder count and first builder; the first in-scope processor short
-        of `s` tree edges and the last one holding any; the first open space
-        and the last processor holding a resolved edge; the first holder of
-        an unresolved edge and the first loader; and whether a processor
-        outside a deletion holds untested or unresolved edges. Every check
-        flags the processors on one side of an index (the builder, the
-        loader or the first open space), so it flags one iff the extreme
-        processor of its kind lies on that side. Only a check whose summary
-        fails loops over the processors to build one `Violation` per
-        offender, and the checks report in a fixed order.
+        reached keep their old stores, so the checks cover only the prefix
+        that has switched regimes. The token reaches one processor a tick
+        from its start tick on, and `suspended_ticks` counts each of those
+        ticks once its hops have run: a call between ticks answers as the
+        audit of the tick that just ran.
         """
-        procs = self.processors
         p = self.config.p
+        if self.junction.mode != "aging":
+            return p
+        return min(p, self.suspended_ticks - self._aging_started_at)
+
+    def audit_invariants(self):
+        """Layout invariants over the current state, processor by
+        processor: one `Violation` per offender, the checks in a fixed
+        order. An empty list means clean."""
+        found = []
+        procs = self.processors
         s = self.config.s
         t = self.t
         junction = self.junction
         aging = junction.mode == "aging"
-        scope = p
-        if aging and self.aging_started_tick is not None:
-            scope = min(p, t - self.aging_started_tick + 1)
-        nbuilders = 0
-        builder = loader = None
-        first_short = first_unresolved = p  # p: none
-        first_space = scope
-        last_tree = last_resolved = -1
-        pending = False
-        for i, pr in enumerate(procs[:scope]):
-            if pr.untested or pr.unresolved:
-                if not pr.aging:
-                    pending = True
-                if pr.unresolved and first_unresolved == p:
-                    first_unresolved = i
-            if pr.is_builder:
-                nbuilders += 1
-                if builder is None:
-                    builder = i
-            if pr.is_loader and loader is None:
-                loader = i
-            ntree = len(pr.tree)
-            if ntree:
-                last_tree = last_resolved = i
-            elif pr.nontree:
-                last_resolved = i
-            if ntree != s and first_short == p:
-                first_short = i
-            if pr.stored < s and first_space == scope:
-                first_space = i
-        for pr in procs[scope:]:
-            if (pr.untested or pr.unresolved) and not pr.aging:
-                pending = True
+        scope = self._audit_scope()
+        in_scope = procs[:scope]
 
-        found = []
-        if nbuilders > 1:
+        builders = [pr.index for pr in in_scope if pr.is_builder]
+        if len(builders) > 1:
             found.append(Violation(t, "builder-count", -1,
-                                   f"{nbuilders} builders in scope {scope}"))
-        if builder is None:
-            builder = self._builder_token_position()
-        if builder is None:
+                                   f"{len(builders)} builders in scope {scope}"))
+        b = builders[0] if builders else self._builder_token_position()
+        if b is None:
             found.append(Violation(t, "builder-count", -1, f"no builder in scope {scope}"))
-        elif first_short < builder or last_tree > builder:
-            for pr in procs[:scope]:
+        else:
+            for pr in in_scope:
                 ntree = len(pr.tree)
-                if pr.index < builder and ntree != s:
+                if pr.index < b and ntree != s:
                     found.append(Violation(t, "tree-prefix", pr.index,
                                            f"sealed processor holds {ntree}/{s} tree edges"))
-                if pr.index > builder and ntree != 0:
+                if pr.index > b and ntree != 0:
                     found.append(Violation(t, "tree-downstream", pr.index,
-                                           f"{ntree} tree edges downstream of builder {builder}"))
+                                           f"{ntree} tree edges downstream of builder {b}"))
 
         # steady-state packing; right after a deletion, trailing recycled
         # edges may still be refilling the transient hole at the head. During
         # a rebuild this clause is owned by the jeopardy exception: an
         # overloaded builder/loader legitimately parks edges in the first
         # open space further downstream.
-        if not aging and t >= junction.age_hold_until and last_resolved > first_space:
-            for pr in procs[first_space + 1:scope]:
-                if pr.tree or pr.nontree:
-                    found.append(Violation(t, "space-prefix", pr.index,
-                                           f"resolved edges beyond first open space {first_space}"))
+        if not aging and t >= junction.age_hold_until:
+            first_space = next((pr.index for pr in in_scope if pr.stored < s), scope)
+            for pr in in_scope:
+                if pr.index > first_space and (pr.tree or pr.nontree):
+                    found.append(Violation(
+                        t, "space-prefix", pr.index,
+                        f"resolved edges beyond first open space {first_space}"))
 
         # only a deletion fills these pools, and it empties them before the
         # processor leaves it; the transit hop relies on it
-        if pending:
-            for pr in procs:
-                if not pr.aging and (pr.untested or pr.unresolved):
-                    found.append(Violation(t, "pending-outside-aging", pr.index,
-                                           f"{len(pr.untested)} untested, "
-                                           f"{len(pr.unresolved)} unresolved while not aging"))
+        for pr in procs:
+            if not pr.aging and (pr.untested or pr.unresolved):
+                found.append(Violation(t, "pending-outside-aging", pr.index,
+                                       f"{len(pr.untested)} untested, "
+                                       f"{len(pr.unresolved)} unresolved while not aging"))
 
         if aging:
+            loader = next((pr.index for pr in in_scope if pr.is_loader), None)
             if loader is None:
                 loader = self._loader_token_position()
             if loader is not None:
-                if nbuilders == 1 and builder > loader:
-                    found.append(Violation(t, "builder-past-loader", builder,
-                                           f"builder {builder} > loader {loader}"))
-                if first_unresolved < loader:
-                    for pr in procs[:min(scope, loader)]:
-                        if pr.unresolved:
-                            found.append(Violation(
-                                t, "unresolved-upstream", pr.index,
-                                f"{len(pr.unresolved)} unresolved before loader {loader}"))
+                if len(builders) == 1 and builders[0] > loader:
+                    found.append(Violation(t, "builder-past-loader", builders[0],
+                                           f"builder {builders[0]} > loader {loader}"))
+                for pr in in_scope:
+                    if pr.index < loader and pr.unresolved:
+                        found.append(Violation(
+                            t, "unresolved-upstream", pr.index,
+                            f"{len(pr.unresolved)} unresolved before loader {loader}"))
         return found
 
     def _loader_token_position(self):
@@ -1024,7 +992,7 @@ class Ring:
             return self.config.p  # sealed ring: every position is upstream
         return None
 
-    # -- full-scan checks (boundary audits and tests) ------------------------------
+    # -- full-scan checks (on demand) ----------------------------------------------
 
     def audit_full(self):
         """O(S) checks: per-key copy counts and union-find conservation."""

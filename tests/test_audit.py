@@ -1,10 +1,7 @@
-"""`Ring.audit_invariants` decides from one pass of per-check summaries
-which layout checks fail, and loops over the processors only for those.
-`util.audit_scan` makes every check processor by processor. The per-tick
-audit runs `audit_invariants` only when a processor's layout row or a
-ring-level input moved. On every tick the layout violations the tick
-appends must equal the scan's, in the same order, whether the audit ran or
-not.
+"""The per-tick audit runs `Ring.audit_invariants` only when a processor's
+layout row or a ring-level input moved. On every tick the layout violations
+the tick appends must equal those of an unconditional `audit_invariants`
+call, in the same order, whether the memo ran the audit or not.
 
 The memo rests on a premise: a hop that returns its input changes nothing
 the audit reads, unless its processor is aging with untested edges to test.
@@ -24,7 +21,6 @@ from ringcc.processor import Processor
 from ringcc.ring import Ring, RingConfig, SystemFailed, _layout_row
 
 from test_idle_skip import drain_padding, mixed_items, policy_ring
-from util import audit_scan
 
 
 def rows(found):
@@ -39,9 +35,9 @@ def audit_fields(pr):
 
 def run_compared(ring, items):
     """Run `items` on `ring`, comparing after each tick's audit the layout
-    violations the tick appended with the scan and the memo's rows with the
-    processors, and checking the premise on every hop the audit skips.
-    Returns counts of ticks, audits run, ticks flagged and skipped hops:
+    violations the tick appended with an unconditional audit and the memo's
+    rows with the processors, and checking the premise on every hop the
+    audit skips. Returns counts of ticks, audits run, ticks flagged and skipped hops:
     all of them (`passes`), those at an aging processor (`aging passes`)
     and those that returned the empty bundle at any other (`empty
     passes`). Running out of storage ends the run, an allowed outcome on
@@ -59,7 +55,7 @@ def run_compared(ring, items):
         n = len(ring.violations)
         audit_tick(ring, ran)
         got = [v for v in ring.violations[n:] if v.kind != "slot-overflow"]
-        assert rows(got) == rows(audit_scan(ring)), f"{ring.config} tick {ring.t}"
+        assert rows(got) == rows(audit(ring)), f"{ring.config} tick {ring.t}"
         # the memo's rows are the facts as they stand
         assert ring._rows == [_layout_row(pr, ring.config.s) for pr in ring.processors], \
             f"{ring.config} tick {ring.t}"
@@ -89,7 +85,7 @@ def run_compared(ring, items):
 
 
 @pytest.mark.parametrize("p", [1, 2, 5, 10])
-def test_summaries_match_the_scan_on_mixed_streams(p):
+def test_the_memo_matches_the_audit_on_mixed_streams(p):
     for trial in range(3):
         rng = random.Random(1000 * p + trial)
         s = max(12, 90 // p)
@@ -149,7 +145,7 @@ def test_a_full_head_at_k2_defers_its_last_test_instead_of_overflowing():
     assert ring.violations == []
 
 
-def test_summaries_match_the_scan_where_the_audit_flags():
+def test_the_memo_matches_the_audit_where_it_flags():
     flagged = Counter()
     for seed in FLAGGED_SEEDS:
         config, items = backlog_stream(seed)
@@ -211,6 +207,6 @@ chunks = st.one_of(
 @settings(max_examples=200)
 @given(p=st.integers(1, 5), s=st.integers(4, 40), k=st.integers(2, 5),
        seed=st.integers(0, 99), chunks=st.lists(chunks, min_size=20, max_size=100))
-def test_summaries_match_the_scan_on_drawn_streams(p, s, k, seed, chunks):
+def test_the_memo_matches_the_audit_on_drawn_streams(p, s, k, seed, chunks):
     items = [it for chunk in chunks for it in chunk]
     run_compared(Ring(RingConfig(p=p, s=s, k=k, seed=seed, validate=True)), items)

@@ -3,7 +3,7 @@ import threading
 
 import pytest
 
-from ringcc.model import Age, Arrival, Connectivity, DumpLabels, EdgeCount, IDLE
+from ringcc.model import EMPTY_BUNDLE, IDLE, Age, Arrival, Connectivity, DumpLabels, EdgeCount
 from ringcc.aging import TimestampThreshold
 from ringcc.pipeline import ThreadedRing, run_pipelined
 from ringcc.processor import Processor
@@ -65,6 +65,11 @@ def test_threaded_ring_taps_and_metrics_match_lockstep():
     assert threaded.transcript.text() == lock.transcript.text()
     for attr in ("tap_edges", "tap_dump", "metrics", "aging_log", "suspended_ticks"):
         assert getattr(threaded, attr) == getattr(lock, attr), attr
+    untapped = ThreadedRing(RingConfig(p=4, s=30, k=3, seed=5))
+    try:
+        assert untapped._advance(EMPTY_BUNDLE) is None  # nothing reads the hops
+    finally:
+        untapped.close()
 
 
 def test_threaded_ring_refuses_validation():

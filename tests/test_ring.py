@@ -11,7 +11,6 @@ from ringcc.ring import IOJunction, Ring, RingConfig, SystemFailed, Violation
 from ringcc.streams import gen_uniform
 
 from test_idle_skip import drain_padding, mixed_items
-from util import audit_scan
 
 
 def cfg(**kw):
@@ -280,9 +279,7 @@ def path_ring(edges, p=3, s=5, k=3):
 
 
 def planted(ring):
-    found = ring.audit_invariants()
-    assert found == audit_scan(ring)
-    return [(v.kind, v.index, v.detail) for v in found]
+    return [(v.kind, v.index, v.detail) for v in ring.audit_invariants()]
 
 
 def test_audit_detects_a_missing_builder():
@@ -331,6 +328,26 @@ def rebuilding_ring(until):
         ring.tick(IDLE)
     assert ring.audit_invariants() == []
     return ring
+
+
+def test_a_call_between_ticks_answers_as_the_tick_that_just_ran(monkeypatch):
+    # the deletion's scope grows by one processor a tick; a direct call
+    # after a tick covers what that tick's audit covered, no processor more
+    ring = path_ring(12)
+    p = ring.config.p
+    audit_tick = Ring._audit_tick
+    in_tick = []
+
+    def recorded(ring, ran):
+        audit_tick(ring, ran)
+        in_tick.append((ring._audit_scope(), planted(ring)))
+
+    monkeypatch.setattr(Ring, "_audit_tick", recorded)
+    for n, item in enumerate([Age(TimestampThreshold(0))] + [IDLE] * (p - 1), 1):
+        ring.tick(item)
+        assert ring.junction.mode == "aging"
+        assert in_tick[-1] == (n, []) and ring.violations == []
+        assert (ring._audit_scope(), planted(ring)) == in_tick[-1]
 
 
 def test_audit_detects_the_builder_past_the_loader():

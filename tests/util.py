@@ -4,7 +4,6 @@ from ringcc.model import EMPTY_BUNDLE, Age, AgingToken, Arrival, Bundle, FailSig
 from ringcc.multipass import static_cc
 from ringcc.processor import NONTREE, TREE, UNRESOLVED, SlotOverflow
 from ringcc.queries import ConnQuery, CountQuery
-from ringcc.ring import Violation
 
 
 class _Probe:
@@ -161,74 +160,6 @@ def check_hop_equivalence(ring, edges, p, s):
             want_b = [tuple(x) for x in passes[-1].labels]
         assert ring.tap_edges[i] == want_a, f"edge stream out of p{i}"
         assert ring.tap_dump[i] == want_b, f"dump stream out of p{i}"
-
-
-def audit_scan(ring):
-    """The layout checks of `Ring.audit_invariants`, processor by
-    processor, without its summaries: one `Violation` per offending
-    processor, in the same fixed order. The reference the auditor's
-    summaries are compared against."""
-    found = []
-    procs = ring.processors
-    p = ring.config.p
-    s = ring.config.s
-    aging = ring.junction.mode == "aging"
-    scope = p
-    if aging and ring.aging_started_tick is not None:
-        scope = min(p, ring.t - ring.aging_started_tick + 1)
-    in_scope = procs[:scope]
-
-    builders = [pr.index for pr in in_scope if pr.is_builder]
-    if len(builders) > 1:
-        found.append(Violation(ring.t, "builder-count", -1,
-                               f"{len(builders)} builders in scope {scope}"))
-    b = builders[0] if builders else ring._builder_token_position()
-    if b is None:
-        found.append(Violation(ring.t, "builder-count", -1,
-                               f"no builder in scope {scope}"))
-    else:
-        for pr in in_scope:
-            ntree = len(pr.tree)
-            if pr.index < b and ntree != s:
-                found.append(Violation(ring.t, "tree-prefix", pr.index,
-                                       f"sealed processor holds {ntree}/{s} tree edges"))
-            if pr.index > b and ntree != 0:
-                found.append(Violation(ring.t, "tree-downstream", pr.index,
-                                       f"{ntree} tree edges downstream of builder {b}"))
-
-    if not aging and ring.t >= ring.junction.age_hold_until:
-        # steady-state packing; right after a deletion, trailing recycled
-        # edges may still be refilling the transient hole at the head.
-        # During a rebuild this clause is owned by the jeopardy exception:
-        # an overloaded builder/loader legitimately parks edges in the
-        # first open space further downstream.
-        first_space = next((pr.index for pr in in_scope if pr.stored < s), scope)
-        for pr in in_scope:
-            if pr.index > first_space and (pr.tree or pr.nontree):
-                found.append(Violation(ring.t, "space-prefix", pr.index,
-                                       f"resolved edges beyond first open space {first_space}"))
-
-    # only a deletion fills these pools, and it empties them before the
-    # processor leaves it; the transit hop in process_bundle relies on it
-    for pr in procs:
-        if not pr.aging and (pr.untested or pr.unresolved):
-            found.append(Violation(ring.t, "pending-outside-aging", pr.index,
-                                   f"{len(pr.untested)} untested, "
-                                   f"{len(pr.unresolved)} unresolved while not aging"))
-
-    if aging:
-        loader = next((pr.index for pr in in_scope if pr.is_loader), None)
-        if loader is None:
-            loader = ring._loader_token_position()
-        if loader is not None:
-            if builders and len(builders) == 1 and builders[0] > loader:
-                found.append(Violation(ring.t, "builder-past-loader", builders[0],
-                                       f"builder {builders[0]} > loader {loader}"))
-            for pr in in_scope:
-                if pr.index < loader and pr.unresolved:
-                    found.append(Violation(ring.t, "unresolved-upstream", pr.index,
-                                           f"{len(pr.unresolved)} unresolved before loader {loader}"))
-    return found
 
 
 def transit_rules(proc, b):
