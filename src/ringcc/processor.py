@@ -40,14 +40,21 @@ k-1 edges. At the tail the automatic policy may then start. Queued messages
 drain into free payload slots; a k-th item spills into a free primary slot,
 and one more is a protocol error (`SlotOverflow`).
 
-Most hops change nothing: a full relay, a sealed processor, a full builder
-and an aging relay pass most bundles on as they came. The hop therefore
-first asks the same rules whether anything changes, in the order that
-declines soonest, and if nothing does returns the bundle itself; any other
-bundle goes on to the rules. The test writes nothing but relabels, which
-the rules make as well, and a relabel is idempotent (a component's name
-maps to itself); a query is answered only in a bundle that passes. So a
-bundle it declines meets the rules as if it had not run.
+Most hops carry one edge, or change nothing: a full relay, a sealed
+processor, a full builder and an aging relay pass most bundles on as they
+came. The hop therefore has two exits before the rules. The lone-edge exit
+takes an edge in the primary slot with nothing beside it, outside a
+deletion and away from the tail, and finishes it as the rules would: it
+absorbs a duplicate, settles the edge where there is room, and passes it
+otherwise. It declines only a full builder's tree edge and the edge that
+seals the builder, and it writes only where it returns, so a lone edge it
+declines has only been relabelled. The identity exit asks the same rules
+whether anything in any other bundle changes, in the order that declines
+soonest, and if nothing does returns the bundle itself. It writes nothing
+but relabels; a query is answered only in a bundle that passes. The rules
+make the same relabels, and a relabel is idempotent (a component's name
+maps to itself), so a bundle either exit declines meets the rules as if it
+had not run.
 """
 
 from __future__ import annotations
@@ -162,44 +169,66 @@ class Processor:
         builder seals, or with the loader token when the seal waited on
         loader duty. A bundle the hop leaves as it came is returned itself.
 
-        An identity exit comes before the rules and returns `b` itself where
-        they would leave every slot as it is, with nothing queued and no
-        builder token arriving: at an aging relay, when the primary slot is
-        empty and no edge is a duplicate; outside a deletion, except at the
-        tail, when no edge is a duplicate, each edge with equal labels meets
-        a full store, and each edge whose labels differ meets a processor
-        that is not the builder. So it never runs where the policy could
-        start. It relabels edges and answers a connectivity query as the
-        rules would, and a builder with space declines after two reads. It
-        is written out inline, primary slot and payload apart, because it
-        runs on most hops of a saturated ring, where a method call or a
-        tuple of both slots costs about what the exit saves."""
+        Two exits come before the rules, with nothing queued and no builder
+        token arriving, and neither runs at the tail outside a deletion,
+        where the policy could start. Elsewhere outside a deletion, a lone
+        edge (a primary edge, an empty payload) takes the lone-edge exit: a duplicate is absorbed
+        and the stored copy keeps the newer timestamp; otherwise the edge
+        is relabelled, settles as non-tree with equal labels and as a tree
+        edge at the builder while there is room, and is returned in `b`
+        where the rules would pass it. Only a full builder's tree edge and
+        the edge that would seal the builder go on, relabelled, to the
+        rules; every branch that stores or absorbs returns. The identity
+        exit returns `b` itself where the rules would leave every slot as
+        it is: at an aging relay, when the primary slot is empty and no
+        edge is a duplicate; outside a deletion, when no edge is a
+        duplicate, each edge with equal labels meets a full store, and each
+        edge whose labels differ meets a processor that is not the builder.
+        It relabels edges and answers a connectivity query as the rules
+        would. Both exits share the primary slot's checks and are written
+        out inline, because they run on most hops, where a method call or
+        a tuple of both slots costs about what an exit saves."""
         prim = b.primary
         payload = b.payload
-        # identity exit
+        # the lone-edge and identity exits
         if self.outq or b.builder_token:
             pass  # the rules drain the queue and take the token
         elif not self.aging:
-            full = self.stored >= self.s
-            builder = self.is_builder
-            if (full or not builder) and not self.is_tail:
+            if not self.is_tail:
+                full = self.stored >= self.s
+                builder = self.is_builder
                 dup = self.dup
                 sets = self.lc.sets
                 tp = type(prim)
                 if tp is LabeledEdge:
-                    if prim.lu == prim.lv:
-                        same = full and prim.ck not in dup
-                    elif prim.ck in dup:
+                    rec = dup.get(prim.ck)
+                    if rec is not None:
+                        if not payload:
+                            if prim.t > rec.t:
+                                rec.t = prim.t
+                            return EMPTY_BUNDLE
                         same = False
                     else:
-                        if sets:
+                        if prim.lu != prim.lv and sets:
                             c = sets.get(prim.lu)
                             if c is not None:
                                 prim.lu = c.name
                             c = sets.get(prim.lv)
                             if c is not None:
                                 prim.lv = c.name
-                        same = full if prim.lu == prim.lv else not builder
+                        if prim.lu == prim.lv:
+                            if not (full or payload):
+                                self._accept(prim, NONTREE)
+                                return EMPTY_BUNDLE
+                            same = full
+                        elif not builder:
+                            same = True
+                        elif not (full or payload) and len(self.tree) + 1 < self.s:
+                            self._accept(prim, TREE)
+                            return EMPTY_BUNDLE
+                        else:
+                            # a full builder's tree edge or the sealing edge
+                            same = False
                 else:
                     same = prim is None or tp is ConnQuery
                 if same:

@@ -614,11 +614,13 @@ class Ring:
                  "processors", "links", "junction_return", "_active", "failed",
                  "suspended_ticks", "aging_started_tick", "aging_log",
                  "_pre_aging_stored", "metrics", "tap_edges", "tap_dump",
-                 "_aging_started_at", "_rows", "_ring_inputs", "_audit_again")
+                 "_aging_started_at", "_rows", "_ring_inputs", "_audit_again",
+                 "_ran_t")
 
     def __init__(self, config):
         self.config = config
         self.t = 0
+        self._ran_t = 0  # the tick whose hops ran last; the audits stamp it
         self.transcript = Transcript()
         self.violations = []
         self.junction = IOJunction(self)
@@ -667,6 +669,7 @@ class Ring:
             # tick would run on a ring that silently lost them
             self.failed = True
             raise
+        self._ran_t = self.t
         if junction.mode == "aging" or self.t < junction.age_hold_until:
             self.suspended_ticks += 1
         if ran is not None:
@@ -910,11 +913,14 @@ class Ring:
     def audit_invariants(self):
         """Layout invariants over the current state, processor by
         processor: one `Violation` per offender, the checks in a fixed
-        order. An empty list means clean."""
+        order. An empty list means clean. It answers for the tick whose
+        hops ran last, in scope, settle window and stamp: the running tick
+        in its own audit, the tick that just ran between ticks, and tick 0
+        before the first."""
         found = []
         procs = self.processors
         s = self.config.s
-        t = self.t
+        t = self._ran_t
         junction = self.junction
         aging = junction.mode == "aging"
         scope = self._audit_scope()
@@ -995,7 +1001,9 @@ class Ring:
     # -- full-scan checks (on demand) ----------------------------------------------
 
     def audit_full(self):
-        """O(S) checks: per-key copy counts and union-find conservation."""
+        """O(S) checks: per-key copy counts and union-find conservation,
+        stamped as `audit_invariants` stamps."""
+        t = self._ran_t
         found = []
         counts = {}
         for pr in self.processors:
@@ -1004,8 +1012,8 @@ class Ring:
         limit = 2 if self.junction.mode == "aging" else 1
         for key, c in counts.items():
             if c > limit:
-                found.append(Violation(self.t, "copy-count", -1, f"{key} stored {c}x"))
+                found.append(Violation(t, "copy-count", -1, f"{key} stored {c}x"))
         for pr in self.processors:
             for kind, detail in pr.lc.audit():
-                found.append(Violation(self.t, kind, pr.index, detail))
+                found.append(Violation(t, kind, pr.index, detail))
         return found

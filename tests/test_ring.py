@@ -350,6 +350,25 @@ def test_a_call_between_ticks_answers_as_the_tick_that_just_ran(monkeypatch):
         assert (ring._audit_scope(), planted(ring)) == in_tick[-1]
 
 
+def test_a_call_between_ticks_stamps_the_tick_that_just_ran():
+    # a call before the first tick stamps tick 0; after a tick, the stamp
+    # of that tick's own audit, for the layout and the full audit alike
+    ring = Ring(cfg())
+    ring.processors[2].is_builder = True
+    assert [v.tick for v in ring.audit_invariants()] == [0]
+    ring = path_ring(4)
+    head, mid, tail = ring.processors
+    tail.is_builder = True
+    mid.dup[next(iter(head.dup))] = None
+    n = len(ring.violations)
+    ring.tick(Arrival(0, 2))  # settles at the head, which the audit reads
+    tick = ring.t - 1
+    found = ring.violations[n:]
+    assert [(v.tick, v.kind) for v in found] == [(tick, "builder-count")]
+    assert ring.audit_invariants() == found
+    assert [(v.tick, v.kind) for v in ring.audit_full()] == [(tick, "copy-count")]
+
+
 def test_audit_detects_the_builder_past_the_loader():
     ring = rebuilding_ring(lambda procs: procs[1].is_builder and procs[1].is_loader)
     head, mid = ring.processors[:2]

@@ -246,9 +246,11 @@ def _state(proc):
             proc.deletions, [_snap(x) for x in proc.outq])
 
 
-def _draw_processor(data, role, tail=None, full=None, head=None):
-    """A processor in `role`; `tail`, while aging `full`, and at the aging
-    builder `head` are drawn unless given."""
+def _draw_processor(data, role, tail=None, full=None, head=None, last=None):
+    """A processor in `role`; `tail`, while aging `full`, at the aging
+    builder `head`, and outside a sealed processor and a relay whether it
+    holds the last tree edge before sealing, `last`, are drawn unless
+    given."""
     s = data.draw(st.integers(3, 7), "s")
     k = data.draw(st.integers(2, 5), "k")
     if tail is None:
@@ -258,7 +260,7 @@ def _draw_processor(data, role, tail=None, full=None, head=None):
     proc = Processor(0 if head else 2 if tail else 1, RingConfig(p=3, s=s, k=k))
     # a spanning forest, then non-tree edges stored under equal labels
     ntree = {"sealed": s, "relay-space": 0, "relay-full": 0}.get(
-        role, data.draw(st.integers(0, s - 1), "ntree"))
+        role, s - 1 if last else data.draw(st.integers(0, s - 1 - (last is False)), "ntree"))
     if not role.startswith("aging"):
         full = role in ("builder-full", "sealed", "relay-full")
     elif full is None:
@@ -450,6 +452,53 @@ def _tree_edge(data, proc):
     return Bundle(None, [_apart(data)])
 
 
+# a lone edge, in the primary slot with nothing beside it, away from the
+# tail and outside a deletion, is finished at the top of the hop, except a
+# full builder's tree edge and the edge that seals the builder
+
+def _lone_stored(data, proc):
+    return Bundle(_stored_edge(data, proc))
+
+
+def _lone_fresh(data, proc):
+    return Bundle(_fresh(data))
+
+
+def _lone_equal(data, proc):
+    return Bundle(_equal(data))
+
+
+def _lone_apart(data, proc):
+    return Bundle(_apart(data))
+
+
+# (role, how the rules take the edge, fixed processor draws, bundle drawn)
+LONE_EDGE = (
+    ("relay-full", "absorbed", {}, _lone_stored),
+    ("relay-space", "non-tree", {}, _lone_equal),
+    ("builder-space", "non-tree", {}, _lone_equal),
+    ("builder-space", "tree", {"last": False}, _lone_apart),
+    ("relay-full", "passed", {}, _lone_fresh),
+    ("sealed", "passed", {}, _lone_fresh),
+    ("builder-full", "passed", {}, _lone_equal),
+    ("builder-full", "evicts", {}, _lone_apart),
+    ("builder-space", "seals", {"last": True}, _lone_apart),
+)
+
+
+def _lone_outcome(proc, e, passed, after):
+    """How the rules took lone edge `e` at `proc`, leaving `after`."""
+    if e.ck in proc.dup:
+        return "absorbed"
+    if passed:
+        return "passed"
+    if e.ck not in {x.ck for x in after.tree}:
+        return "non-tree"
+    if proc.stored >= proc.s:
+        return "evicts"
+    return "seals" if after.sealed else "tree"
+
+
 # the aging builder and the loader rebuild every bundle: after the payload
 # they test or recycle their own edges
 REBUILT = ("aging-builder", "aging-loader")
@@ -469,6 +518,8 @@ def _floored_cases():
     yield "aging-builder", ("aging-builder", "head"), {"head": True}, _draw_bundle
     yield "sealed", ("sealed", "relabelled"), {"tail": False}, _relabelled
     yield "builder-full", ("builder-full", "payload tree edge"), {"tail": False}, _tree_edge
+    for role, outcome, fixed, draw_bundle in LONE_EDGE:
+        yield role, (role, "lone edge", outcome), {"tail": False, **fixed}, draw_bundle
 
 
 def _check(data, role, draw_bundle=_draw_bundle, **fixed):
@@ -495,6 +546,9 @@ def _check(data, role, draw_bundle=_draw_bundle, **fixed):
     keys = [(role, outcome)]
     if type(b.primary) is LabeledEdge:
         keys.append((role, "primary edge", outcome))
+        if not (b.payload or b.builder_token or proc.aging or proc.is_tail or proc.outq):
+            keys.append((role, "lone edge",
+                         _lone_outcome(proc, b.primary, want is rules_b, rules_proc)))
     if any(type(x) in (StatsProbe, LoaderToken) for x in (b.primary, *b.payload)):
         keys.append((role, "message"))
     if any(type(x) is LoaderToken for x in b.payload):
@@ -508,9 +562,10 @@ def _check(data, role, draw_bundle=_draw_bundle, **fixed):
 
 
 def test_identity_exit_matches_the_rules():
-    # the exit at the top of the hop returns the bundle only where the
-    # rules below it would, and leaves the processor as they leave it; the
-    # rules take whole bundles at every role, messages in their slots
+    # the exits at the top of the hop return what the rules below them
+    # would, the bundle itself only where the rules pass it on, and leave
+    # the processor as they leave it; the rules take whole bundles at every
+    # role, messages in their slots
     outcomes = Counter()
 
     @settings(max_examples=1000)
@@ -552,3 +607,5 @@ def test_identity_exit_matches_the_rules():
     # only the builder and a sealed processor hold a union-find
     assert outcomes["builder-full", "relabelled"] + outcomes["sealed", "relabelled"] >= 10
     assert outcomes["builder-full", "payload tree edge"] >= 5, outcomes
+    for role, outcome, _, _ in LONE_EDGE:
+        assert outcomes[role, "lone edge", outcome] >= 5, outcomes

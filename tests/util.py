@@ -163,9 +163,9 @@ def check_hop_equivalence(ring, edges, p, s):
 
 
 def transit_rules(proc, b):
-    """The hop's rules without its identity exit: `Processor.process_bundle`
-    with every bundle taking the rules. The reference the exit is compared
-    against."""
+    """The hop's rules without its exits: `Processor.process_bundle` with
+    every bundle taking the rules. The reference the lone-edge and identity
+    exits are compared against."""
     prim = b.primary
     payload = b.payload
     # an arriving builder token makes this processor the builder and is
